@@ -1,5 +1,6 @@
 #include "comm/serialize.h"
 
+#include <cstdint>
 #include <cstring>
 
 #include "util/check.h"
@@ -9,6 +10,8 @@ namespace subfed {
 namespace {
 
 constexpr std::uint32_t kMagic = 0x53464156;  // "SFAV"
+/// Highest tensor rank a decoder accepts; the model zoo's deepest is 4.
+constexpr std::uint32_t kMaxRank = 8;
 
 void put_u32(std::vector<std::uint8_t>& out, std::uint32_t value) {
   for (int i = 0; i < 4; ++i) out.push_back(static_cast<std::uint8_t>(value >> (8 * i)));
@@ -45,12 +48,18 @@ class Reader {
   }
 
   std::string str(std::size_t n) {
-    SUBFEDAVG_CHECK(pos_ + n <= bytes_.size(), "truncated update");
-    std::string s(reinterpret_cast<const char*>(bytes_.data() + pos_), n);
-    pos_ += n;
-    return s;
+    const std::span<const std::uint8_t> raw = bytes(n);
+    return {reinterpret_cast<const char*>(raw.data()), raw.size()};
   }
 
+  std::span<const std::uint8_t> bytes(std::size_t n) {
+    SUBFEDAVG_CHECK(n <= remaining(), "truncated update");
+    const std::span<const std::uint8_t> out = bytes_.subspan(pos_, n);
+    pos_ += n;
+    return out;
+  }
+
+  std::size_t remaining() const noexcept { return bytes_.size() - pos_; }
   bool done() const noexcept { return pos_ == bytes_.size(); }
 
  private:
@@ -108,28 +117,42 @@ StateDict decode_update(std::span<const std::uint8_t> bytes, ModelMask* mask_out
   for (std::uint32_t e = 0; e < entries; ++e) {
     const std::uint32_t name_len = reader.u32();
     std::string name = reader.str(name_len);
+    // Validate the declared shape against the bytes actually present before
+    // anything is sized from it: a crafted header must fail here, not in
+    // the allocator.
     const std::uint32_t rank = reader.u32();
+    SUBFEDAVG_CHECK(rank <= kMaxRank,
+                    "update entry '" << name << "' rank " << rank << " > " << kMaxRank);
     std::vector<std::size_t> dims(rank);
-    for (auto& d : dims) d = reader.u32();
-    Tensor tensor{Shape(dims)};
-
+    std::size_t numel = rank == 0 ? 0 : 1;  // as Shape::numel
+    for (auto& d : dims) {
+      d = reader.u32();
+      SUBFEDAVG_CHECK(d == 0 || numel <= SIZE_MAX / d,
+                      "update entry '" << name << "' element count overflows");
+      numel *= d;
+    }
     const bool masked = reader.u8() != 0;
+    const std::size_t declared = masked ? numel / 8 + (numel % 8 != 0) : numel;
+    const std::size_t unit = masked ? 1 : 4;  // bitmap bytes, or f32 values
+    SUBFEDAVG_CHECK(declared <= reader.remaining() / unit,
+                    "update entry '" << name << "' declares " << numel
+                                     << " elements but only " << reader.remaining()
+                                     << " bytes remain");
+
+    Tensor tensor{Shape(dims)};
+    float* values = tensor.data();
     if (!masked) {
-      for (std::size_t i = 0; i < tensor.numel(); ++i) tensor[i] = reader.f32();
+      for (std::size_t i = 0; i < tensor.numel(); ++i) values[i] = reader.f32();
     } else {
-      std::vector<bool> keep(tensor.numel());
-      for (std::size_t i = 0; i < tensor.numel(); i += 8) {
-        const std::uint8_t byte = reader.u8();
-        for (int b = 0; b < 8 && i + b < tensor.numel(); ++b) {
-          keep[i + b] = (byte >> b) & 1;
-        }
-      }
+      const std::span<const std::uint8_t> bitmap = reader.bytes(declared);
+      const auto keep = [&](std::size_t i) { return ((bitmap[i / 8] >> (i % 8)) & 1) != 0; };
       for (std::size_t i = 0; i < tensor.numel(); ++i) {
-        if (keep[i]) tensor[i] = reader.f32();
+        if (keep(i)) values[i] = reader.f32();
       }
       if (mask_out != nullptr) {
         Tensor bits{tensor.shape()};
-        for (std::size_t i = 0; i < bits.numel(); ++i) bits[i] = keep[i] ? 1.0f : 0.0f;
+        float* b = bits.data();
+        for (std::size_t i = 0; i < bits.numel(); ++i) b[i] = keep(i) ? 1.0f : 0.0f;
         mask_out->set(name, std::move(bits));
       }
     }

@@ -5,22 +5,29 @@
 namespace subfed {
 
 Tensor ReLU::forward(const Tensor& input, bool /*train*/) {
-  Tensor output = input;
-  mask_ = Tensor(input.shape());
-  for (std::size_t i = 0; i < output.numel(); ++i) {
-    if (output[i] > 0.0f) {
-      mask_[i] = 1.0f;
-    } else {
-      output[i] = 0.0f;
-    }
+  // The mask is overwritten in full below, so it is reused while the shape
+  // holds (every step of a fixed batch size).
+  if (mask_.shape() != input.shape()) mask_ = Tensor(input.shape());
+  Tensor output(input.shape());
+  const float* x = input.data();
+  float* y = output.data();
+  float* mask = mask_.data();
+  for (std::size_t i = 0, n = input.numel(); i < n; ++i) {
+    const bool pos = x[i] > 0.0f;  // false for -0.0f and NaN: both map to +0
+    y[i] = pos ? x[i] : 0.0f;
+    mask[i] = pos ? 1.0f : 0.0f;
   }
   return output;
 }
 
 Tensor ReLU::backward(const Tensor& grad_output) {
   SUBFEDAVG_CHECK(grad_output.numel() == mask_.numel(), "relu backward before forward");
-  Tensor grad_input = grad_output;
-  grad_input.mul_(mask_);
+  // A multiply, not a select: dY·0 keeps the sign of zero and NaN of dY.
+  Tensor grad_input(grad_output.shape());
+  const float* dy = grad_output.data();
+  const float* mask = mask_.data();
+  float* dx = grad_input.data();
+  for (std::size_t i = 0, n = grad_output.numel(); i < n; ++i) dx[i] = dy[i] * mask[i];
   return grad_input;
 }
 

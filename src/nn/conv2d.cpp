@@ -73,12 +73,13 @@ Tensor Conv2d::forward_impl(const Tensor& input, bool train, const GemmEpilogue*
            weight_.uid, weight_.mask_epoch, epilogue);
 
   // Regroup [oc, N·spatial] → [N, oc, spatial] and (unfused only) add the bias.
+  const float* bias = bias_.value.data();
   for (std::size_t n = 0; n < batch; ++n) {
     float* out_n = output.data() + n * out_channels_ * spatial;
     for (std::size_t oc = 0; oc < out_channels_; ++oc) {
       const float* src = gemm_out.data() + oc * cols + n * spatial;
       float* dst = out_n + oc * spatial;
-      const float b = epilogue == nullptr ? bias_.value[oc] : 0.0f;
+      const float b = epilogue == nullptr ? bias[oc] : 0.0f;
       if (b == 0.0f) {
         std::memcpy(dst, src, spatial * sizeof(float));
       } else {
@@ -90,6 +91,14 @@ Tensor Conv2d::forward_impl(const Tensor& input, bool train, const GemmEpilogue*
 }
 
 Tensor Conv2d::backward(const Tensor& grad_output) {
+  return backward_impl(grad_output, /*want_input_grad=*/true);
+}
+
+void Conv2d::backward_params(const Tensor& grad_output) {
+  backward_impl(grad_output, /*want_input_grad=*/false);
+}
+
+Tensor Conv2d::backward_impl(const Tensor& grad_output, bool want_input_grad) {
   SUBFEDAVG_CHECK(!cached_input_.empty(), "backward before forward");
   const Tensor& input = cached_input_;
   const std::size_t batch = input.shape()[0];
@@ -99,11 +108,8 @@ Tensor Conv2d::backward(const Tensor& grad_output) {
   SUBFEDAVG_CHECK(grad_output.shape() == Shape({batch, out_channels_, oh, ow}),
                   "grad_output shape " << grad_output.shape().to_string());
 
-  Tensor grad_input(input.shape());
   const Device& dev = device();
   const std::size_t cols = batch * spatial;
-  const std::size_t in_plane = in_channels_ * g.in_h * g.in_w;
-  WorkspaceLease grad_columns = dev.lease(g.patch_size() * cols);
   WorkspaceLease grad_packed = dev.lease(out_channels_ * cols);
 
   // Regroup dY [N, oc, spatial] → [oc, N·spatial] so both weight and input
@@ -125,14 +131,19 @@ Tensor Conv2d::backward(const Tensor& grad_output) {
            out_channels_, cols, g.patch_size(), /*accumulate=*/true);
 
   // db[oc] += sum over the batch's spatial positions of dY.
+  float* bias_grad = bias_.grad.data();
   for (std::size_t oc = 0; oc < out_channels_; ++oc) {
     float acc = 0.0f;
     const float* row = grad_packed.data() + oc * cols;
     for (std::size_t s = 0; s < cols; ++s) acc += row[s];
-    bias_.grad[oc] += acc;
+    bias_grad[oc] += acc;
   }
+  if (!want_input_grad) return Tensor();
 
   // dCols[ckk, N·spatial] = Wᵀ[ckk, oc] · dY[oc, N·spatial]; scatter per sample.
+  Tensor grad_input(input.shape());
+  const std::size_t in_plane = in_channels_ * g.in_h * g.in_w;
+  WorkspaceLease grad_columns = dev.lease(g.patch_size() * cols);
   dev.gemm(GemmOp::kTN, weight_.value.data(), grad_packed.data(), grad_columns.data(),
            g.patch_size(), out_channels_, cols, /*accumulate=*/false, WeightSide::kA,
            weight_.uid, weight_.mask_epoch);

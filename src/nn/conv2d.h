@@ -29,6 +29,8 @@ class Conv2d final : public Layer {
   /// input, so a subsequent backward fails loudly like any eval forward.
   Tensor forward_fused(const Tensor& input, GemmEpilogue epilogue);
   Tensor backward(const Tensor& grad_output) override;
+  /// dW/db only: no input-gradient GEMM, col2im or grad_columns lease.
+  void backward_params(const Tensor& grad_output) override;
   std::vector<Parameter*> parameters() override { return {&weight_, &bias_}; }
   std::string kind() const override { return "Conv2d"; }
 
@@ -43,6 +45,9 @@ class Conv2d final : public Layer {
 
  private:
   Tensor forward_impl(const Tensor& input, bool train, const GemmEpilogue* epilogue);
+  /// Shared backward: dW/db always; dX (returned) only when
+  /// `want_input_grad`, else an empty tensor.
+  Tensor backward_impl(const Tensor& grad_output, bool want_input_grad);
 
   std::size_t in_channels_, out_channels_, kernel_, stride_, pad_;
   Parameter weight_;

@@ -46,6 +46,12 @@ class Layer {
   /// dLoss/dInput. Must be called after forward with matching shapes.
   virtual Tensor backward(const Tensor& grad_output) = 0;
 
+  /// Backward for a model's input layer: accumulates exactly the parameter
+  /// gradients backward() would, but nothing consumes dLoss/dInput, so a
+  /// layer may skip computing it (Conv2d runs no input-gradient GEMM or
+  /// col2im). The default runs backward() and drops the result.
+  virtual void backward_params(const Tensor& grad_output) { backward(grad_output); }
+
   /// Learnable parameters (empty for stateless layers). Pointers remain valid
   /// for the life of the layer.
   virtual std::vector<Parameter*> parameters() { return {}; }

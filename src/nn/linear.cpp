@@ -34,9 +34,10 @@ Tensor Linear::forward(const Tensor& input, bool train) {
   device().gemm(GemmOp::kNT, input.data(), weight_.value.data(), output.data(), batch,
                 in_features_, out_features_, /*accumulate=*/false, WeightSide::kB,
                 weight_.uid, weight_.mask_epoch);
+  const float* bias = bias_.value.data();
   for (std::size_t n = 0; n < batch; ++n) {
     float* row = output.data() + n * out_features_;
-    for (std::size_t o = 0; o < out_features_; ++o) row[o] += bias_.value[o];
+    for (std::size_t o = 0; o < out_features_; ++o) row[o] += bias[o];
   }
   return output;
 }
@@ -53,9 +54,10 @@ Tensor Linear::backward(const Tensor& grad_output) {
                 out_features_, batch, in_features_, /*accumulate=*/true);
 
   // db[out] += column sums of dY
+  float* bias_grad = bias_.grad.data();
   for (std::size_t n = 0; n < batch; ++n) {
     const float* row = grad_output.data() + n * out_features_;
-    for (std::size_t o = 0; o < out_features_; ++o) bias_.grad[o] += row[o];
+    for (std::size_t o = 0; o < out_features_; ++o) bias_grad[o] += row[o];
   }
 
   // dX[N, in] = dY[N, out] · W[out, in]

@@ -63,8 +63,16 @@ const std::vector<Model::FusePlan>& Model::fuse_plans() {
 }
 
 void Model::backward(const Tensor& grad_logits) {
-  Tensor g = grad_logits;
-  for (std::size_t i = layers_.size(); i-- > 0;) g = layers_[i]->backward(g);
+  SUBFEDAVG_CHECK(!layers_.empty(), "empty model");
+  // Nothing consumes dLoss/dInput of the first layer, so it runs the
+  // parameter-only backward (for Conv2d: no input-gradient GEMM or col2im).
+  const Tensor* cur = &grad_logits;
+  Tensor g;
+  for (std::size_t i = layers_.size(); i-- > 1;) {
+    g = layers_[i]->backward(*cur);
+    cur = &g;
+  }
+  layers_.front()->backward_params(*cur);
 }
 
 std::vector<Parameter*> Model::parameters() {

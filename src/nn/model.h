@@ -62,7 +62,8 @@ class Model {
   }
 
   Tensor forward(const Tensor& input, bool train);
-  /// Backpropagates dLoss/dLogits through every layer (reverse order).
+  /// Backpropagates dLoss/dLogits through every layer (reverse order). The
+  /// first layer runs Layer::backward_params: its dLoss/dInput is never used.
   void backward(const Tensor& grad_logits);
 
   std::vector<Parameter*> parameters();

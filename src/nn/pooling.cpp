@@ -19,6 +19,7 @@ Tensor MaxPool2d::forward(const Tensor& input, bool /*train*/) {
   Tensor output({batch, channels, oh, ow});
   argmax_.assign(output.numel(), 0);
 
+  float* out = output.data();
   std::size_t out_idx = 0;
   for (std::size_t n = 0; n < batch; ++n) {
     for (std::size_t c = 0; c < channels; ++c) {
@@ -37,7 +38,7 @@ Tensor MaxPool2d::forward(const Tensor& input, bool /*train*/) {
               }
             }
           }
-          output[out_idx] = best_val;
+          out[out_idx] = best_val;
           argmax_[out_idx] = (n * channels + c) * h * w + best;
         }
       }
@@ -48,10 +49,11 @@ Tensor MaxPool2d::forward(const Tensor& input, bool /*train*/) {
 
 Tensor MaxPool2d::backward(const Tensor& grad_output) {
   SUBFEDAVG_CHECK(grad_output.numel() == argmax_.size(), "pool backward before forward");
+  // argmax_ holds in-range indices of input_shape_ by construction.
   Tensor grad_input(input_shape_);
-  for (std::size_t i = 0; i < argmax_.size(); ++i) {
-    grad_input[argmax_[i]] += grad_output[i];
-  }
+  const float* dy = grad_output.data();
+  float* dx = grad_input.data();
+  for (std::size_t i = 0; i < argmax_.size(); ++i) dx[argmax_[i]] += dy[i];
   return grad_input;
 }
 

@@ -1,8 +1,9 @@
 // Device API: registry/aliases, execution-plan cache (incl. concurrency and
 // mask-epoch invalidation), workspace leases, fused conv→bn→relu epilogues
-// (bit-identical to the unfused chain), the fp16 compute mode (documented
-// looser tolerance vs fp32, bit-determinism intact), and the registered
-// env-knob table (asserted against the README in both directions).
+// (bit-identical to the unfused chain), the input layer's parameter-only
+// backward (bit-identical grads, one GEMM fewer), the fp16 compute mode
+// (documented looser tolerance vs fp32, bit-determinism intact), and the
+// registered env-knob table (asserted against the README in both directions).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -361,6 +362,74 @@ TEST(FusedEpilogue, BackwardAfterFusedEvalStillFailsLoudly) {
   Tensor grad(out.shape());
   grad.fill_normal(rng, 0.0f, 1.0f);
   EXPECT_THROW(model.backward(grad), CheckError);
+}
+
+// ---------------------------------------------------------------------------
+// Input-layer backward
+
+/// Runs one train step (forward + backward of a fixed dLoss/dLogits) and
+/// returns the number of GEMMs it issued on `dev`. `full_reference` replaces
+/// Model::backward with a loop calling every layer's full backward(), input
+/// layer included.
+std::uint64_t train_step_gemms(Model& model, const Device& dev, const Tensor& batch,
+                               bool full_reference) {
+  const DeviceStats before = dev.stats();
+  const Tensor logits = model.forward(batch, /*train=*/true);
+  Rng rng(26);
+  Tensor grad(logits.shape());
+  grad.fill_normal(rng, 0.0f, 1.0f);
+  if (full_reference) {
+    Tensor g = grad;
+    for (std::size_t i = model.num_layers(); i-- > 0;) g = model.layer(i).backward(g);
+  } else {
+    model.backward(grad);
+  }
+  const DeviceStats after = dev.stats();
+  return (after.plan_hits + after.plan_misses) - (before.plan_hits + before.plan_misses);
+}
+
+TEST(InputLayerBackward, SkippingDxLeavesEveryParameterGradientBitIdentical) {
+  struct Net {
+    const char* name;
+    ModelSpec spec;
+  };
+  const Net nets[] = {{"cnn5", ModelSpec::cnn5(10)},
+                      {"lenet5", ModelSpec::lenet5(10)},
+                      {"cnn_deep", ModelSpec::cnn_deep(10)}};
+  for (const Net& net : nets) {
+    for (const char* backend : {"naive", "blocked", "sparse"}) {
+      ModelSpec spec = net.spec;
+      spec.backend = backend;
+      const Device& dev = get_device(backend);
+      Model model = warmed_model(spec, 25);
+      Model reference = warmed_model(spec, 25);
+      Rng rng(27);
+      Tensor batch({3, spec.in_channels, spec.input_hw, spec.input_hw});
+      batch.fill_normal(rng, 0.0f, 1.0f);
+
+      const std::uint64_t skipped = train_step_gemms(model, dev, batch, false);
+      const std::uint64_t full = train_step_gemms(reference, dev, batch, true);
+      // The skipped work is exactly the input conv's dX GEMM.
+      EXPECT_EQ(skipped + 1, full) << net.name << " on " << backend;
+      if (std::string(net.name) == "lenet5") {
+        // 2 conv + 3 fc layers: 5 forward GEMMs, 2 per layer backward, less
+        // the input layer's dX.
+        EXPECT_EQ(full, 15u) << backend;
+        EXPECT_EQ(skipped, 14u) << backend;
+      }
+
+      const std::vector<Parameter*> got = model.parameters();
+      const std::vector<Parameter*> want = reference.parameters();
+      ASSERT_EQ(got.size(), want.size());
+      for (std::size_t i = 0; i < got.size(); ++i) {
+        ASSERT_EQ(got[i]->grad.shape(), want[i]->grad.shape());
+        EXPECT_EQ(std::memcmp(got[i]->grad.data(), want[i]->grad.data(),
+                              got[i]->grad.numel() * sizeof(float)),
+                  0)
+            << net.name << " on " << backend << ": " << got[i]->name;
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -2,6 +2,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <vector>
 
 #include "nn/activations.h"
 #include "nn/batchnorm.h"
@@ -10,6 +13,7 @@
 #include "nn/loss.h"
 #include "nn/model_zoo.h"
 #include "nn/pooling.h"
+#include "nn/sgd.h"
 #include "util/check.h"
 #include "util/rng.h"
 
@@ -135,6 +139,148 @@ TEST(Flatten, RoundTrip) {
   EXPECT_EQ(y.shape(), Shape({2, 48}));
   Tensor g({2, 48}, 1.0f);
   EXPECT_EQ(flat.backward(g).shape(), x.shape());
+}
+
+// ---------------------------------------------------------------------------
+// Raw-span loops vs checked reference loops: ReLU, MaxPool2d and Sgd index
+// raw pointers after one up-front shape check. Each reference below is the
+// plain per-element loop through the bounds-checked Tensor::operator[]; the
+// layer must match it bit for bit, signed zeros and NaNs included.
+
+bool bitwise_equal(const Tensor& a, const Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.data(), b.data(), a.numel() * sizeof(float)) == 0;
+}
+
+TEST(RawSpanLoops, ReLUMatchesCheckedReferenceOnSignedZerosAndNaNs) {
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  ReLU relu;
+  // Two steps of one shape (the mask is reused), then a new shape.
+  const std::vector<Shape> shapes = {Shape{2, 6}, Shape{2, 6}, Shape{3, 5}};
+  for (std::size_t step = 0; step < shapes.size(); ++step) {
+    const Shape& shape = shapes[step];
+    Rng rng(40 + step);
+    Tensor x(shape);
+    x.fill_normal(rng, 0.0f, 1.0f);
+    const float specials[] = {-0.0f, 0.0f, nan, -nan, inf, -inf, 1e-42f, -1e-42f};
+    for (std::size_t i = 0; i < std::size(specials); ++i) x[i + step] = specials[i];
+    Tensor dy(shape);
+    dy.fill_normal(rng, 0.0f, 1.0f);
+    dy[0] = -0.0f;
+    dy[2] = nan;  // lands on a masked-out position (x = -0.0f / NaN) each step
+    dy[3] = -4.0f;
+
+    Tensor ref_y = x;
+    Tensor ref_mask(shape);
+    for (std::size_t i = 0; i < ref_y.numel(); ++i) {
+      if (ref_y[i] > 0.0f) {
+        ref_mask[i] = 1.0f;
+      } else {
+        ref_y[i] = 0.0f;
+      }
+    }
+    Tensor ref_dx = dy;
+    for (std::size_t i = 0; i < ref_dx.numel(); ++i) ref_dx[i] = ref_dx[i] * ref_mask[i];
+
+    const Tensor y = relu.forward(x, /*train=*/true);
+    const Tensor dx = relu.backward(dy);
+    EXPECT_TRUE(bitwise_equal(y, ref_y)) << "forward, step " << step;
+    EXPECT_TRUE(bitwise_equal(dx, ref_dx)) << "backward, step " << step;
+  }
+  // A negative gradient through a closed gate stays a negative zero.
+  Tensor x({1, 2}, std::vector<float>{-1.0f, 2.0f});
+  relu.forward(x, /*train=*/true);
+  const Tensor dx = relu.backward(Tensor({1, 2}, std::vector<float>{-3.0f, -3.0f}));
+  EXPECT_TRUE(std::signbit(dx[0]));
+  EXPECT_EQ(dx[0], 0.0f);
+  EXPECT_EQ(dx[1], -3.0f);
+}
+
+TEST(RawSpanLoops, MaxPoolMatchesCheckedReferenceWithTiedMaxima) {
+  const std::size_t window = 2;
+  for (const Shape& shape : {Shape{2, 3, 4, 4}, Shape{1, 2, 5, 7}}) {
+    const std::size_t batch = shape[0], channels = shape[1], h = shape[2], w = shape[3];
+    const std::size_t oh = h / window, ow = w / window;
+    Tensor x(shape);
+    // Values from a three-level set: most windows hold tied maxima.
+    for (std::size_t i = 0; i < x.numel(); ++i) x[i] = static_cast<float>((i * 7 + i / 5) % 3);
+    Rng rng(50);
+    Tensor dy({batch, channels, oh, ow});
+    dy.fill_normal(rng, 0.0f, 1.0f);
+
+    // Reference: first maximum in row-major window order wins.
+    Tensor ref_y({batch, channels, oh, ow});
+    Tensor ref_dx(shape);
+    std::size_t out_idx = 0;
+    for (std::size_t nc = 0; nc < batch * channels; ++nc) {
+      for (std::size_t oy = 0; oy < oh; ++oy) {
+        for (std::size_t ox = 0; ox < ow; ++ox, ++out_idx) {
+          std::size_t best = nc * h * w + oy * window * w + ox * window;
+          for (std::size_t dy_ = 0; dy_ < window; ++dy_) {
+            for (std::size_t dx_ = 0; dx_ < window; ++dx_) {
+              const std::size_t idx = nc * h * w + (oy * window + dy_) * w + ox * window + dx_;
+              if (x[idx] > x[best]) best = idx;
+            }
+          }
+          ref_y[out_idx] = x[best];
+          ref_dx[best] += dy[out_idx];
+        }
+      }
+    }
+
+    MaxPool2d pool(window);
+    EXPECT_TRUE(bitwise_equal(pool.forward(x, /*train=*/true), ref_y)) << shape.to_string();
+    EXPECT_TRUE(bitwise_equal(pool.backward(dy), ref_dx)) << shape.to_string();
+  }
+}
+
+TEST(RawSpanLoops, SgdMatchesCheckedReferenceWithMomentumAndWeightDecay) {
+  for (const float wd : {0.0f, 1e-3f}) {
+    const SgdConfig config{/*lr=*/0.05f, /*momentum=*/0.9f, /*weight_decay=*/wd};
+    Rng rng(60);
+    Parameter weight("w", Tensor({4, 5}), /*is_prunable=*/true);
+    Parameter bias("b", Tensor({5}), /*is_prunable=*/false);
+    weight.value.fill_normal(rng, 0.0f, 1.0f);
+    bias.value.fill_normal(rng, 0.0f, 1.0f);
+    Sgd sgd({&weight, &bias}, config);
+
+    std::vector<Tensor> ref_w = {weight.value, bias.value};
+    std::vector<Tensor> ref_v = {Tensor(weight.value.shape()), Tensor(bias.value.shape())};
+    Parameter* params[] = {&weight, &bias};
+    for (int step = 0; step < 4; ++step) {
+      for (std::size_t i = 0; i < 2; ++i) {
+        Parameter& p = *params[i];
+        p.grad.fill_normal(rng, 0.0f, 1.0f);
+        p.grad[0] = -0.0f;
+        for (std::size_t j = 0; j < p.grad.numel(); ++j) {
+          float g = p.grad[j];
+          if (wd != 0.0f) g += wd * ref_w[i][j];
+          ref_v[i][j] = config.momentum * ref_v[i][j] + g;
+          ref_w[i][j] -= config.lr * ref_v[i][j];
+        }
+      }
+      sgd.step();
+      for (std::size_t i = 0; i < 2; ++i) {
+        EXPECT_TRUE(bitwise_equal(params[i]->value, ref_w[i]))
+            << params[i]->name << " step " << step << " wd " << wd;
+        EXPECT_EQ(params[i]->grad.squared_norm(), 0.0);
+      }
+    }
+  }
+}
+
+TEST(RawSpanLoops, SgdRejectsMismatchedGradAndVelocitySizes) {
+  Parameter p("w", Tensor({4}), /*is_prunable=*/true);
+  Sgd sgd({&p}, SgdConfig{});
+  p.grad = Tensor({3});  // grad smaller than the value
+  EXPECT_THROW(sgd.step(), CheckError);
+
+  Parameter q("w", Tensor({4}), /*is_prunable=*/true);
+  Sgd sgd_q({&q}, SgdConfig{});
+  q.value = Tensor({6});  // value and grad agree, the velocity does not
+  q.grad = Tensor({6});
+  EXPECT_THROW(sgd_q.step(), CheckError);
 }
 
 TEST(BatchNorm2d, NormalizesBatchStatistics) {

@@ -1,6 +1,11 @@
 // FedAvg+FT baseline and corrupted-update handling.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+#include <vector>
+
+#include "comm/serialize.h"
 #include "core/aggregate.h"
 #include "fl/driver.h"
 #include "fl/experiment.h"
@@ -284,6 +289,79 @@ TEST(NormFilter, FilteredAggregationSurvivesCorruption) {
   }
   EXPECT_LT(clean_drift, 1e-9);
   EXPECT_GT(dirty_drift, 1.0);
+}
+
+// ---------------------------------------------------------------------------
+// Bounded update decoding: a crafted header fails with CheckError before the
+// decoder sizes anything from it, never with bad_alloc.
+
+/// An update header for one entry named "w": magic, entry count, name, rank,
+/// dims, then the masked flag — with no payload behind it.
+std::vector<std::uint8_t> crafted_update(std::uint32_t rank,
+                                         const std::vector<std::uint32_t>& dims,
+                                         std::uint8_t masked) {
+  std::vector<std::uint8_t> out;
+  const auto put = [&](std::uint32_t v) {
+    for (int i = 0; i < 4; ++i) out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+  };
+  put(0x53464156);  // "SFAV"
+  put(1);
+  put(1);
+  out.push_back('w');
+  put(rank);
+  for (const std::uint32_t d : dims) put(d);
+  out.push_back(masked);
+  return out;
+}
+
+TEST(BoundedDecode, HugeDeclaredShapeIsACheckErrorNotAnAllocation) {
+  // 26 bytes declaring a 200000 x 200000 float tensor (160 GB).
+  const std::vector<std::uint8_t> unmasked = crafted_update(2, {200000, 200000}, 0);
+  ASSERT_EQ(unmasked.size(), 26u);
+  EXPECT_THROW(decode_update(unmasked), CheckError);
+  // Masked, the same shape declares a 5 GB bitmap.
+  ModelMask mask;
+  EXPECT_THROW(decode_update(crafted_update(2, {200000, 200000}, 1), &mask), CheckError);
+}
+
+TEST(BoundedDecode, HugeRankIsACheckError) {
+  EXPECT_THROW(decode_update(crafted_update(0xFFFFFFFFu, {}, 0)), CheckError);
+  EXPECT_THROW(decode_update(crafted_update(9, std::vector<std::uint32_t>(9, 1), 0)),
+               CheckError);
+}
+
+TEST(BoundedDecode, ElementCountOverflowIsACheckError) {
+  // 0xFFFFFFFF^3 overflows a 64-bit element count.
+  const std::vector<std::uint32_t> dims(3, 0xFFFFFFFFu);
+  EXPECT_THROW(decode_update(crafted_update(3, dims, 0)), CheckError);
+  EXPECT_THROW(decode_update(crafted_update(3, dims, 1)), CheckError);
+}
+
+TEST(BoundedDecode, ValidUpdatesStillRoundTrip) {
+  Rng rng(3);
+  Model m = ModelSpec::cnn5(10).build_init(rng);
+  const StateDict state = m.state();
+  ModelMask mask = ModelMask::ones_like(m, MaskScope::kAllPrunable);
+  const Tensor* conv1 = mask.find("conv1.weight");
+  ASSERT_NE(conv1, nullptr);
+  Tensor bits = *conv1;
+  for (std::size_t i = 0; i < bits.numel(); i += 3) bits.data()[i] = 0.0f;
+  mask.set("conv1.weight", bits);
+
+  const StateDict plain = decode_update(encode_update(state, nullptr));
+  ASSERT_EQ(plain.size(), state.size());
+  for (std::size_t e = 0; e < state.size(); ++e) {
+    EXPECT_TRUE(plain[e] == state[e]) << state[e].first;
+  }
+  ModelMask decoded_mask;
+  const StateDict masked = decode_update(encode_update(state, &mask), &decoded_mask);
+  ASSERT_NE(decoded_mask.find("conv1.weight"), nullptr);
+  EXPECT_EQ(*decoded_mask.find("conv1.weight"), bits);
+  const Tensor& w = masked[0].second;
+  const Tensor& want = state[0].second;
+  for (std::size_t i = 0; i < w.numel(); ++i) {
+    EXPECT_EQ(w.data()[i], bits.data()[i] != 0.0f ? want.data()[i] : 0.0f) << i;
+  }
 }
 
 }  // namespace
