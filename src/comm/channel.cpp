@@ -86,6 +86,7 @@ class Reader {
     return s;
   }
 
+  std::size_t remaining() const noexcept { return bytes_.size() - pos_; }
   bool done() const noexcept { return pos_ == bytes_.size(); }
 
  private:
@@ -183,6 +184,11 @@ Envelope decode_envelope(std::span<const std::uint8_t> bytes) {
   envelope.client = reader.u32();
   envelope.num_examples = reader.u64();
   const std::uint32_t sections = reader.u32();
+  // Each section carries at least its 4-byte length: bound the reserve by
+  // the bytes actually present, not by the declared count.
+  SUBFEDAVG_CHECK(sections <= reader.remaining() / 4,
+                  "envelope declares " << sections << " sections but only "
+                                       << reader.remaining() << " bytes remain");
   envelope.sections.reserve(sections);
   for (std::uint32_t s = 0; s < sections; ++s) {
     const std::uint32_t size = reader.u32();
@@ -253,34 +259,48 @@ StateDict decode_payload_impl(std::span<const std::uint8_t> bytes, ModelMask* ma
   for (std::uint32_t e = 0; e < entries; ++e) {
     const std::uint32_t name_len = reader.u32();
     std::string name = reader.str(name_len);
+    // As in decode_update: validate the declared shape against the bytes
+    // actually present before anything is sized from it.
     const std::uint32_t rank = reader.u32();
+    SUBFEDAVG_CHECK(rank <= kMaxUpdateRank,
+                    "payload entry '" << name << "' rank " << rank << " > " << kMaxUpdateRank);
     std::vector<std::size_t> dims(rank);
-    for (auto& d : dims) d = reader.u32();
-    Tensor tensor{Shape(dims)};
-
-    const bool masked = reader.u8() != 0;
-    std::vector<bool> keep;
-    if (masked) {
-      keep.assign(tensor.numel(), false);
-      for (std::size_t i = 0; i < tensor.numel(); i += 8) {
-        const std::uint8_t byte = reader.u8();
-        for (int b = 0; b < 8 && i + b < tensor.numel(); ++b) {
-          keep[i + b] = (byte >> b) & 1;
-        }
-      }
+    std::size_t numel = rank == 0 ? 0 : 1;  // as Shape::numel
+    for (auto& d : dims) {
+      d = reader.u32();
+      SUBFEDAVG_CHECK(d == 0 || numel <= SIZE_MAX / d,
+                      "payload entry '" << name << "' element count overflows");
+      numel *= d;
     }
+    const bool masked = reader.u8() != 0;
+    // Bitmap bytes when masked, else one value per element.
+    const std::size_t declared = masked ? numel / 8 + (numel % 8 != 0) : numel;
+    const std::size_t unit = !masked && quantize == QuantCodec::kFp16 ? 2 : 1;
+    SUBFEDAVG_CHECK(declared <= reader.remaining() / unit,
+                    "payload entry '" << name << "' declares " << numel
+                                      << " elements but only " << reader.remaining()
+                                      << " bytes remain");
+
+    Tensor tensor{Shape(dims)};
+    float* values = tensor.data();
+    const std::span<const std::uint8_t> bitmap =
+        masked ? reader.raw(declared) : std::span<const std::uint8_t>();
+    const auto keep = [&](std::size_t i) {
+      return !masked || ((bitmap[i / 8] >> (i % 8)) & 1) != 0;
+    };
     const float scale = quantize == QuantCodec::kInt8 ? reader.f32() : 1.0f;
-    for (std::size_t i = 0; i < tensor.numel(); ++i) {
-      if (masked && !keep[i]) continue;
+    for (std::size_t i = 0; i < numel; ++i) {
+      if (!keep(i)) continue;
       if (quantize == QuantCodec::kFp16) {
-        tensor[i] = fp16_to_fp32(reader.u16());
+        values[i] = fp16_to_fp32(reader.u16());
       } else {
-        tensor[i] = static_cast<float>(static_cast<std::int8_t>(reader.u8())) * scale;
+        values[i] = static_cast<float>(static_cast<std::int8_t>(reader.u8())) * scale;
       }
     }
     if (masked && mask_out != nullptr) {
       Tensor bits{tensor.shape()};
-      for (std::size_t i = 0; i < bits.numel(); ++i) bits[i] = keep[i] ? 1.0f : 0.0f;
+      float* b = bits.data();
+      for (std::size_t i = 0; i < numel; ++i) b[i] = keep(i) ? 1.0f : 0.0f;
       mask_out->set(name, std::move(bits));
     }
     state.add(std::move(name), std::move(tensor));

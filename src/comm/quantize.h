@@ -1,38 +1,16 @@
-// Lossy update quantization — the classic communication-reduction lever the
-// paper contrasts with (Konečný et al. 2016's structured/sketched updates).
-// Orthogonal to pruning: a masked update's kept values can additionally be
-// sent at reduced precision. Provided for the comm ablation and as a
-// building block for bandwidth-constrained deployments.
-//
-// Two codecs:
-//   kFp16 — IEEE-754 half precision (round-to-nearest-even), 2 bytes/value.
-//   kInt8 — per-tensor affine quantization x ≈ scale · q with q ∈ [−127,127],
-//           scale = max|x| / 127, 1 byte/value + 4-byte scale per tensor.
+// Scalar IEEE-754 half-precision casts behind the fp16 payload codec
+// (comm/channel.h, QuantCodec::kFp16: 2 bytes per kept value). The int8 codec
+// lives in comm/channel.cpp alone.
 #pragma once
 
 #include <cstdint>
-#include <span>
-#include <vector>
-
-#include "nn/parameter.h"
 
 namespace subfed {
 
-enum class QuantKind { kFp16, kInt8 };
-
-/// Quantizes every tensor of `state`. The result decodes with
-/// dequantize_state; names/shapes are preserved exactly, values lossily.
-std::vector<std::uint8_t> quantize_state(const StateDict& state, QuantKind kind);
-
-/// Inverse of quantize_state.
-StateDict dequantize_state(std::span<const std::uint8_t> bytes);
-
-/// Bytes the codec charges for this state (values only; the self-describing
-/// header is excluded, mirroring comm/serialize.h's payload_bytes).
-std::size_t quantized_payload_bytes(const StateDict& state, QuantKind kind);
-
-/// Scalar helpers (exposed for tests).
+/// fp32 → half, rounding the mantissa to nearest; overflow saturates to ±inf.
+/// Exact zeros (either sign) stay exact.
 std::uint16_t fp32_to_fp16(float value) noexcept;
+/// half → fp32; exact for every half value.
 float fp16_to_fp32(std::uint16_t half) noexcept;
 
 }  // namespace subfed

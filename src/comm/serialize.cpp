@@ -10,8 +10,6 @@ namespace subfed {
 namespace {
 
 constexpr std::uint32_t kMagic = 0x53464156;  // "SFAV"
-/// Highest tensor rank a decoder accepts; the model zoo's deepest is 4.
-constexpr std::uint32_t kMaxRank = 8;
 
 void put_u32(std::vector<std::uint8_t>& out, std::uint32_t value) {
   for (int i = 0; i < 4; ++i) out.push_back(static_cast<std::uint8_t>(value >> (8 * i)));
@@ -121,8 +119,8 @@ StateDict decode_update(std::span<const std::uint8_t> bytes, ModelMask* mask_out
     // anything is sized from it: a crafted header must fail here, not in
     // the allocator.
     const std::uint32_t rank = reader.u32();
-    SUBFEDAVG_CHECK(rank <= kMaxRank,
-                    "update entry '" << name << "' rank " << rank << " > " << kMaxRank);
+    SUBFEDAVG_CHECK(rank <= kMaxUpdateRank,
+                    "update entry '" << name << "' rank " << rank << " > " << kMaxUpdateRank);
     std::vector<std::size_t> dims(rank);
     std::size_t numel = rank == 0 ? 0 : 1;  // as Shape::numel
     for (auto& d : dims) {

@@ -17,6 +17,10 @@
 
 namespace subfed {
 
+/// Highest tensor rank the update decoders (decode_update, decode_payload)
+/// accept; the model zoo's deepest is 4.
+constexpr std::uint32_t kMaxUpdateRank = 8;
+
 /// Serializes `state`. For entries covered by `mask` (nullable), only kept
 /// values are written, preceded by a packed bitmap; uncovered entries are
 /// written dense.

@@ -10,6 +10,7 @@
 #include <limits>
 #include <memory>
 #include <mutex>
+#include <shared_mutex>
 #include <set>
 #include <sstream>
 #include <thread>
@@ -452,6 +453,13 @@ SweepSummary run_sweep(const std::vector<SweepRun>& runs, const SweepOptions& op
   FederatedDataCache data_cache(std::move(key_uses));
   const auto sweep_start = std::chrono::steady_clock::now();
 
+  // The subprocess transport fork()s without exec, so a child inherits every
+  // mutex another thread of this process holds at that moment (device pools,
+  // the data cache, telemetry, stdio) and can block on it forever. Such runs
+  // hold this lock exclusively and every other run holds it shared, both
+  // from before the data-cache lookup until the run is reported: no other
+  // run's thread is inside the library when a child is forked.
+  std::shared_mutex fork_mu;
   std::mutex progress_mu;
   std::size_t completed = 0;
   if (options.echo_progress) {
@@ -485,6 +493,13 @@ SweepSummary run_sweep(const std::vector<SweepRun>& runs, const SweepOptions& op
       }
     }
 
+    std::shared_lock<std::shared_mutex> shared_run(fork_mu, std::defer_lock);
+    std::unique_lock<std::shared_mutex> exclusive_run(fork_mu, std::defer_lock);
+    if (outcome.run.spec.transport == "subprocess") {
+      exclusive_run.lock();
+    } else {
+      shared_run.lock();
+    }
     const auto run_start = std::chrono::steady_clock::now();
     try {
       std::shared_ptr<const FederatedData> data;

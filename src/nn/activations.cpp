@@ -4,13 +4,20 @@
 
 namespace subfed {
 
-Tensor ReLU::forward(const Tensor& input, bool /*train*/) {
-  // The mask is overwritten in full below, so it is reused while the shape
-  // holds (every step of a fixed batch size).
-  if (mask_.shape() != input.shape()) mask_ = Tensor(input.shape());
+Tensor ReLU::forward(const Tensor& input, bool train) {
   Tensor output(input.shape());
   const float* x = input.data();
   float* y = output.data();
+  if (!train) {
+    // Only backward reads the mask: an eval forward builds none and drops the
+    // last one, so a backward after it fails loudly.
+    mask_ = Tensor();
+    for (std::size_t i = 0, n = input.numel(); i < n; ++i) y[i] = x[i] > 0.0f ? x[i] : 0.0f;
+    return output;
+  }
+  // The mask is overwritten in full below, so it is reused while the shape
+  // holds (every step of a fixed batch size).
+  if (mask_.shape() != input.shape()) mask_ = Tensor(input.shape());
   float* mask = mask_.data();
   for (std::size_t i = 0, n = input.numel(); i < n; ++i) {
     const bool pos = x[i] > 0.0f;  // false for -0.0f and NaN: both map to +0

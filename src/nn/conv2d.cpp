@@ -29,15 +29,6 @@ void Conv2d::init(Rng& rng) {
 }
 
 Tensor Conv2d::forward(const Tensor& input, bool train) {
-  return forward_impl(input, train, nullptr);
-}
-
-Tensor Conv2d::forward_fused(const Tensor& input, GemmEpilogue epilogue) {
-  epilogue.bias = bias_.value.data();
-  return forward_impl(input, /*train=*/false, &epilogue);
-}
-
-Tensor Conv2d::forward_impl(const Tensor& input, bool train, const GemmEpilogue* epilogue) {
   SUBFEDAVG_CHECK(input.shape().rank() == 4, "conv input must be NCHW, got "
                                                  << input.shape().to_string());
   const std::size_t batch = input.shape()[0];
@@ -63,23 +54,21 @@ Tensor Conv2d::forward_impl(const Tensor& input, bool train, const GemmEpilogue*
 
   // Unroll every sample into one wide patch matrix, then convolve the whole
   // batch with a single GEMM: out[oc, n·spatial] = W[oc, ckk] · cols[ckk, n·spatial].
-  // With an epilogue, bias/bn/activation are applied per element at GEMM
-  // store-back (row = output channel), so the regroup below is a pure copy.
   for (std::size_t n = 0; n < batch; ++n) {
     dev.im2col(input.data() + n * in_plane, g, columns_.data(), cols, n * spatial);
   }
   dev.gemm(GemmOp::kNN, weight_.value.data(), columns_.data(), gemm_out.data(),
            out_channels_, g.patch_size(), cols, /*accumulate=*/false, WeightSide::kA,
-           weight_.uid, weight_.mask_epoch, epilogue);
+           weight_.uid, weight_.mask_epoch);
 
-  // Regroup [oc, N·spatial] → [N, oc, spatial] and (unfused only) add the bias.
+  // Regroup [oc, N·spatial] → [N, oc, spatial] and add the bias.
   const float* bias = bias_.value.data();
   for (std::size_t n = 0; n < batch; ++n) {
     float* out_n = output.data() + n * out_channels_ * spatial;
     for (std::size_t oc = 0; oc < out_channels_; ++oc) {
       const float* src = gemm_out.data() + oc * cols + n * spatial;
       float* dst = out_n + oc * spatial;
-      const float b = epilogue == nullptr ? bias[oc] : 0.0f;
+      const float b = bias[oc];
       if (b == 0.0f) {
         std::memcpy(dst, src, spatial * sizeof(float));
       } else {

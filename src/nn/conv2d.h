@@ -23,11 +23,6 @@ class Conv2d final : public Layer {
   void init(Rng& rng);
 
   Tensor forward(const Tensor& input, bool train) override;
-  /// Eval-only fused conv→bn→activation forward: the epilogue's per-channel
-  /// terms are applied inside the GEMM store-back (this layer's bias is added
-  /// automatically). Driven by Model's fused eval forward; never caches the
-  /// input, so a subsequent backward fails loudly like any eval forward.
-  Tensor forward_fused(const Tensor& input, GemmEpilogue epilogue);
   Tensor backward(const Tensor& grad_output) override;
   /// dW/db only: no input-gradient GEMM, col2im or grad_columns lease.
   void backward_params(const Tensor& grad_output) override;
@@ -44,7 +39,6 @@ class Conv2d final : public Layer {
   Parameter& bias() noexcept { return bias_; }
 
  private:
-  Tensor forward_impl(const Tensor& input, bool train, const GemmEpilogue* epilogue);
   /// Shared backward: dW/db always; dX (returned) only when
   /// `want_input_grad`, else an empty tensor.
   Tensor backward_impl(const Tensor& grad_output, bool want_input_grad);

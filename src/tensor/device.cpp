@@ -2,15 +2,13 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstring>
-#include <map>
 #include <mutex>
 #include <new>
 #include <unordered_map>
 #include <utility>
 
-#include "comm/quantize.h"  // scalar fp16 casts double as the compute staging path
 #include "tensor/backend.h"
+#include "tensor/kernels.h"
 #include "telemetry/telemetry.h"
 #include "util/check.h"
 #include "util/env.h"
@@ -18,24 +16,24 @@
 namespace subfed {
 namespace {
 
-// -- fp16 staging -------------------------------------------------------------
-// Round each operand element through the wire half-precision format before the
-// fp32 kernels consume it. Elementwise and scalar, so the result is identical
-// regardless of chunking or ISA — fp16 devices keep the bit-determinism
-// contract, and (since the casts preserve ±0) pruned zeros stay exactly zero,
-// leaving density decisions unchanged.
-void stage_fp16(const float* src, float* dst, std::size_t count) noexcept {
-  for (std::size_t i = 0; i < count; ++i) dst[i] = fp16_to_fp32(fp32_to_fp16(src[i]));
+/// Registered devices, sorted by name (list_devices' order).
+constexpr std::pair<const char*, DeviceKind> kDeviceNames[] = {
+    {"blocked", DeviceKind::kBlocked},
+    {"naive", DeviceKind::kNaive},
+    {"sparse", DeviceKind::kSparse}};
+
+const char* device_name(DeviceKind kind) noexcept {
+  for (const auto& [name, known] : kDeviceNames) {
+    if (known == kind) return name;
+  }
+  return "blocked";
 }
 
-enum class Kind : std::uint8_t { kNaive, kBlocked, kSparse };
-
-Kind kind_of(const MathBackend& kernels) {
-  const std::string name = kernels.name();
-  if (name == "naive") return Kind::kNaive;
-  if (name == "sparse") return Kind::kSparse;
-  return Kind::kBlocked;  // "blocked" and any future dense kernel set
-}
+/// Largest B-side operand the sparse device density-scans when a call names
+/// no weight side: covers every weight matrix in the model zoo (cnn_deep's
+/// fc1 is 2048×64 = 2^17) while excluding the biggest im2col activation
+/// matrices, which would cost a measurable fraction of the GEMM to scan.
+constexpr std::size_t kMaxInferredWeightB = std::size_t{1} << 18;
 
 struct PlanKey {
   GemmOp op;
@@ -107,20 +105,7 @@ struct Device::Impl {
   std::atomic<std::uint64_t> workspace_leases{0};
   std::atomic<std::uint64_t> workspace_reuses{0};
   std::atomic<std::uint64_t> bytes_allocated{0};
-
-  Kind kind = Kind::kBlocked;
 };
-
-const char* compute_dtype_name(ComputeDType dtype) noexcept {
-  return dtype == ComputeDType::kFp16 ? "fp16" : "fp32";
-}
-
-ComputeDType parse_compute_dtype(const std::string& name) {
-  if (name == "fp32") return ComputeDType::kFp32;
-  if (name == "fp16") return ComputeDType::kFp16;
-  SUBFEDAVG_CHECK(false, "unknown compute dtype '" << name << "' (fp32 | fp16)");
-  return ComputeDType::kFp32;  // unreachable
-}
 
 // -- WorkspaceLease -----------------------------------------------------------
 
@@ -155,14 +140,7 @@ void WorkspaceLease::reset() noexcept {
 
 // -- Device -------------------------------------------------------------------
 
-Device::Device(const MathBackend& kernels, ComputeDType compute)
-    : kernels_(kernels),
-      compute_(compute),
-      backend_name_(kernels.name()),
-      name_(compute == ComputeDType::kFp16 ? backend_name_ + "+fp16" : backend_name_),
-      impl_(new Impl) {
-  impl_->kind = kind_of(kernels);
-}
+Device::Device(DeviceKind kind) : kind_(kind), name_(device_name(kind)), impl_(new Impl) {}
 
 Device::~Device() {
   std::lock_guard<std::mutex> lock(impl_->pool_mu);
@@ -221,65 +199,26 @@ DeviceStats Device::stats() const noexcept {
 
 void Device::im2col(const float* image, const ConvGeometry& g, float* columns,
                     std::size_t col_stride, std::size_t col_offset) const {
-  kernels_.im2col(image, g, columns, col_stride, col_offset);
+  im2col_strided(image, g, columns, col_stride, col_offset);
 }
 
 void Device::col2im(const float* columns, const ConvGeometry& g, float* image,
                     std::size_t col_stride, std::size_t col_offset) const {
-  kernels_.col2im(columns, g, image, col_stride, col_offset);
+  col2im_strided(columns, g, image, col_stride, col_offset);
 }
-
-namespace {
-
-/// Row-major element count of the weight-side operand, and its pointer.
-std::pair<const float*, std::size_t> weight_operand(GemmOp op, WeightSide side,
-                                                    const float* a, const float* b,
-                                                    std::size_t m, std::size_t k,
-                                                    std::size_t n) noexcept {
-  if (side == WeightSide::kA) return {a, op == GemmOp::kTN ? k * m : m * k};
-  if (side == WeightSide::kB) return {b, op == GemmOp::kNT ? n * k : k * n};
-  return {nullptr, 0};
-}
-
-}  // namespace
 
 void Device::gemm(GemmOp op, const float* a, const float* b, float* c, std::size_t m,
                   std::size_t k, std::size_t n, bool accumulate, WeightSide weight_side,
-                  std::uint64_t weight_uid, std::uint64_t weight_epoch,
-                  const GemmEpilogue* epilogue) const {
+                  std::uint64_t weight_uid, std::uint64_t weight_epoch) const {
   static telemetry::Counter& plan_hit_c = telemetry::counter("device.plan_hit");
   static telemetry::Counter& plan_miss_c = telemetry::counter("device.plan_miss");
   static telemetry::Counter& density_scan_c = telemetry::counter("device.density_scan");
 
-  if (kern::handle_trivial(c, m, k, n, accumulate)) {
-    if (epilogue != nullptr && m > 0 && n > 0) kern::apply_epilogue_rows(c, n, 0, m, *epilogue);
-    return;
-  }
-
-  // fp16 compute: stage both operands through the half round-trip, then run
-  // the fp32 kernels (fp32 accumulation) on the staged panels.
-  const float* ea = a;
-  const float* eb = b;
-  WorkspaceLease a16, b16;
-  if (compute_ == ComputeDType::kFp16) {
-    const std::size_t a_size = op == GemmOp::kTN ? k * m : m * k;
-    const std::size_t b_size = op == GemmOp::kNT ? n * k : k * n;
-    a16 = lease(a_size);
-    b16 = lease(b_size);
-    stage_fp16(a, a16.data(), a_size);
-    stage_fp16(b, b16.data(), b_size);
-    ea = a16.data();
-    eb = b16.data();
-  }
+  if (kern::handle_trivial(c, m, k, n, accumulate)) return;
 
   // Resolve the execution plan: chunk fan-out always; sparse-vs-dense only on
-  // the sparse kernel set. Density is computed on the staged (fp16) operand so
-  // the decision matches what the kernels will actually see; the half
-  // round-trip preserves zeros, so in practice it equals the fp32 decision.
-  const auto [weight_ptr, weight_size] =
-      weight_operand(op, weight_side, ea, eb, m, k, n);
-  const bool want_sparse_decision = impl_->kind == Kind::kSparse && weight_ptr != nullptr;
-
+  // the sparse device.
+  const bool sparse_device = kind_ == DeviceKind::kSparse;
   Plan plan;
   bool hit = true;
   bool need_scan = false;
@@ -295,9 +234,9 @@ void Device::gemm(GemmOp op, const float* a, const float* b, float* c, std::size
       hit = false;
     }
     plan.chunks = entry.chunks;
-    if (want_sparse_decision) {
-      if (weight_uid == 0) {
-        need_scan = true;  // anonymous operand: legacy per-call behaviour
+    if (sparse_device) {
+      if (weight_side == WeightSide::kNone || weight_uid == 0) {
+        need_scan = true;  // anonymous operand: inspect per call
         hit = false;
       } else {
         auto it = std::find_if(entry.decisions.begin(), entry.decisions.end(),
@@ -312,12 +251,27 @@ void Device::gemm(GemmOp op, const float* a, const float* b, float* c, std::size
       }
     }
   }
-  if (need_scan) {
-    // O(weight) scan outside the lock; concurrent first-callers may scan the
-    // same weight once each, then all insert the identical decision.
+
+  // O(operand) scans run outside the lock; concurrent first-callers may scan
+  // the same weight once each, then all insert the identical decision.
+  const auto sparse_enough = [&](const float* data, std::size_t size) {
     impl_->density_scans.fetch_add(1, std::memory_order_relaxed);
     density_scan_c.add();
-    plan.use_sparse = kern::density(weight_ptr, weight_size) <= sparse_density_threshold();
+    return kern::density(data, size) <= sparse_density_threshold();
+  };
+  WeightSide side = weight_side;
+  if (need_scan && side == WeightSide::kNone) {
+    // No weight hint (conv dW is kNT, linear dW is kTN): the weight is taken
+    // to be A for nn/tn, else B for nn/nt when it is at most weight-sized.
+    if (op != GemmOp::kNT && sparse_enough(a, m * k)) {
+      side = WeightSide::kA;
+    } else if (op != GemmOp::kTN && k * n <= kMaxInferredWeightB && sparse_enough(b, k * n)) {
+      side = WeightSide::kB;
+    }
+    plan.use_sparse = side != WeightSide::kNone;
+  } else if (need_scan) {
+    // A has m·k elements and B k·n in every orientation.
+    plan.use_sparse = side == WeightSide::kA ? sparse_enough(a, m * k) : sparse_enough(b, k * n);
     if (weight_uid != 0) {
       std::lock_guard<std::mutex> lock(impl_->plan_mu);
       PlanEntry& entry = impl_->plans[key];
@@ -337,32 +291,16 @@ void Device::gemm(GemmOp op, const float* a, const float* b, float* c, std::size
     plan_miss_c.add();
   }
 
-  execute(op, weight_side, ea, eb, c, m, k, n, accumulate, plan.chunks, plan.use_sparse,
-          want_sparse_decision, epilogue);
+  execute(op, side, a, b, c, m, k, n, accumulate, plan.chunks, plan.use_sparse);
 }
 
 void Device::execute(GemmOp op, WeightSide side, const float* a, const float* b, float* c,
                      std::size_t m, std::size_t k, std::size_t n, bool accumulate,
-                     std::size_t chunks, bool use_sparse, bool sparse_decided,
-                     const GemmEpilogue* ep) const {
-  // Sparse kernel set without a weight-side hint (e.g. raw math_backend()
-  // callers routed through device_for): keep SparseBackend's stateless
-  // per-call inspection behaviour.
-  if (impl_->kind == Kind::kSparse && !sparse_decided) {
-    switch (op) {
-      case GemmOp::kNN: kernels_.gemm_nn(a, b, c, m, k, n, accumulate); break;
-      case GemmOp::kTN: kernels_.gemm_tn(a, b, c, m, k, n, accumulate); break;
-      case GemmOp::kNT: kernels_.gemm_nt(a, b, c, m, k, n, accumulate); break;
-    }
-    if (ep != nullptr) kern::apply_epilogue_rows(c, n, 0, m, *ep);
-    return;
-  }
-
-  if (impl_->kind == Kind::kSparse && use_sparse) {
-    // Planned sparse execution: the decision is cached, so only pack + run
-    // here. "Weight on A, un/transposed" becomes per-output-row CSR + axpy;
-    // "weight on B" becomes per-output-column CSR + dot. Epilogues apply as a
-    // post-pass — same scalar expressions, same bits as the fused store-back.
+                     std::size_t chunks, bool use_sparse) const {
+  if (use_sparse) {
+    // Sparse execution: the decision is made, so only pack + run here.
+    // "Weight on A, un/transposed" becomes per-output-row CSR + axpy;
+    // "weight on B" becomes per-output-column CSR + dot.
     kern::Csr csr;
     bool axpy = false;
     if (side == WeightSide::kA && op == GemmOp::kNN) {
@@ -392,34 +330,33 @@ void Device::execute(GemmOp op, WeightSide side, const float* a, const float* b,
                                  k, n, i0, i1, accumulate);
         });
       }
-      if (ep != nullptr) kern::apply_epilogue_rows(c, n, 0, m, *ep);
       return;
     }
   }
 
-  // Dense execution with the cached fan-out (naive runs unchunked).
-  if (impl_->kind == Kind::kNaive) {
+  // The naive reference loops run unchunked.
+  if (kind_ == DeviceKind::kNaive) {
     switch (op) {
-      case GemmOp::kNN: kernels_.gemm_nn(a, b, c, m, k, n, accumulate); break;
-      case GemmOp::kTN: kernels_.gemm_tn(a, b, c, m, k, n, accumulate); break;
-      case GemmOp::kNT: kernels_.gemm_nt(a, b, c, m, k, n, accumulate); break;
+      case GemmOp::kNN:
+        accumulate ? gemm_accumulate(a, b, c, m, k, n) : subfed::gemm(a, b, c, m, k, n);
+        break;
+      case GemmOp::kTN:
+        accumulate ? gemm_at_b_accumulate(a, b, c, m, k, n) : gemm_at_b(a, b, c, m, k, n);
+        break;
+      case GemmOp::kNT:
+        accumulate ? gemm_a_bt_accumulate(a, b, c, m, k, n) : gemm_a_bt(a, b, c, m, k, n);
+        break;
     }
-    if (ep != nullptr) kern::apply_epilogue_rows(c, n, 0, m, *ep);
     return;
   }
 
+  // Dense blocked execution with the planned fan-out.
   switch (op) {
     case GemmOp::kNN:
-      if (ep != nullptr) {
-        kern::run_row_chunks(m, chunks, [&](std::size_t i0, std::size_t i1) {
-          kern::gemm_panel_nn_fused(a, b, c, /*lda=*/k, k, n, i0, i1, accumulate, *ep);
-        });
-        return;
-      }
       kern::run_row_chunks(m, chunks, [&](std::size_t i0, std::size_t i1) {
         kern::gemm_panel_nn(a, b, c, /*lda=*/k, k, n, i0, i1, accumulate);
       });
-      return;
+      break;
     case GemmOp::kTN:
       kern::run_row_chunks(m, chunks, [&](std::size_t i0, std::size_t i1) {
         kern::gemm_panel_tn(a, b, c, /*lda=*/m, k, n, i0, i1, accumulate);
@@ -431,70 +368,40 @@ void Device::execute(GemmOp op, WeightSide side, const float* a, const float* b,
       });
       break;
   }
-  if (ep != nullptr) kern::apply_epilogue_rows(c, n, 0, m, *ep);
 }
 
 // -- registry -----------------------------------------------------------------
 
-namespace {
-
-std::mutex& registry_mutex() {
-  static std::mutex mu;
-  return mu;
+const Device& get_device(const std::string& name) {
+  // Heap-allocated and never destroyed: leases held by static-lifetime
+  // objects may drain back into a pool during any phase of shutdown, and the
+  // devices stay reachable for LSan through this table.
+  static Device* const devices[] = {new Device(DeviceKind::kNaive),
+                                    new Device(DeviceKind::kBlocked),
+                                    new Device(DeviceKind::kSparse)};
+  for (const auto& [known, kind] : kDeviceNames) {
+    if (name == known) return *devices[static_cast<std::size_t>(kind)];
+  }
+  SUBFEDAVG_CHECK(false, "unknown device '" << name << "' (naive | blocked | sparse)");
+  return *devices[0];  // unreachable
 }
 
-std::map<std::pair<std::string, int>, Device*>& registry() {
-  // Heap-allocated and never destroyed — not a plain static — so the devices
-  // stay *reachable* through it at exit: LSan would otherwise report every
-  // device (and its pooled workspaces) once the map's nodes were freed.
-  static auto* reg = new std::map<std::pair<std::string, int>, Device*>;
-  return *reg;
+bool has_device(const std::string& name) {
+  for (const auto& [known, kind] : kDeviceNames) {
+    if (name == known) return true;
+  }
+  return false;
 }
-
-}  // namespace
-
-const Device& get_device(const std::string& backend, ComputeDType dtype) {
-  SUBFEDAVG_CHECK(has_math_backend(backend),
-                  "unknown device '" << backend
-                                     << "' (naive | blocked | sparse; compute fp32 | fp16)");
-  const MathBackend& kernels = math_backend(backend);
-  std::lock_guard<std::mutex> lock(registry_mutex());
-  Device*& slot = registry()[{backend, static_cast<int>(dtype)}];
-  // Intentionally never destroyed: leases held by static-lifetime objects may
-  // drain back into the pool during any phase of shutdown.
-  if (slot == nullptr) slot = new Device(kernels, dtype);
-  return *slot;
-}
-
-const Device& get_device(const std::string& backend, const std::string& compute) {
-  return get_device(backend, parse_compute_dtype(compute));
-}
-
-bool has_device(const std::string& backend) { return has_math_backend(backend); }
 
 std::vector<std::string> list_devices() {
   std::vector<std::string> names;
-  for (const std::string& backend : list_math_backends()) {
-    names.push_back(backend);
-    names.push_back(backend + "+fp16");
-  }
-  std::sort(names.begin(), names.end());
+  for (const auto& [name, kind] : kDeviceNames) names.emplace_back(name);
   return names;
 }
 
 const Device& default_device() {
-  static const Device& device = get_device(env_string("SUBFEDAVG_BACKEND", "blocked"),
-                                           env_string("SUBFEDAVG_COMPUTE", "fp32"));
+  static const Device& device = get_device(env_string("SUBFEDAVG_BACKEND", "blocked"));
   return device;
-}
-
-const Device& device_for(const MathBackend& kernels) {
-  return get_device(kernels.name(), ComputeDType::kFp32);
-}
-
-bool fused_epilogues_default() noexcept {
-  static const bool fused = env_int("SUBFEDAVG_FUSED", 1) != 0;
-  return fused;
 }
 
 }  // namespace subfed

@@ -1,28 +1,27 @@
-// Storage-owning compute devices.
+// Storage-owning compute devices: the one seam between the layers and the
+// raw kernels (tensor/gemm.h, tensor/kernels.h).
 //
-// PR 3's MathBackend multiplies but never owns memory: every Conv2d
-// hand-manages workspace vectors, the sparse backend re-inspects weight
-// density on every call, and nothing remembers how a shape was executed last
-// time. Device promotes that seam to an interface that owns staging buffers
-// and execution state (the poplibs ConvPlan shape — plan once, reuse across
-// calls — rather than darknet's layer-holds-device-buffers shape):
+// A Device owns staging buffers and execution state (the poplibs ConvPlan
+// shape — plan once, reuse across calls — rather than darknet's
+// layer-holds-device-buffers shape):
 //
 //   * workspace leases — layers lease scratch from a per-device pooled
 //     allocator (RAII WorkspaceLease) instead of owning grow-only vectors;
-//   * an execution-plan cache keyed on (op, m/k/n, weight side) per device
-//     (dtype is per-device) that picks the thread fan-out once and caches the
-//     sparse-vs-dense decision per weight (parameter uid + mask epoch, so a
-//     pruning pass invalidates it) instead of rescanning density per call;
-//   * fused conv→batchnorm→activation epilogues applied in the blocked
-//     GEMM's register tiles (see tensor/kernels.h, GemmEpilogue);
-//   * an fp16 compute mode that stages A/B panels through the wire-format
-//     round-to-nearest casts (comm/quantize.h) with fp32 accumulation.
+//   * an execution-plan cache keyed on (op, m/k/n, weight side) that picks
+//     the thread fan-out once and caches the sparse-vs-dense decision per
+//     weight (parameter uid + mask epoch, so a pruning pass invalidates it)
+//     instead of rescanning density per call.
+//
+// Three kinds ship: "naive" (the reference loops, the equivalence oracle),
+// "blocked" (register-tiled panels fanned over the thread pool; the process
+// default) and "sparse" (CSR kernels for weight operands whose density is at
+// most sparse_density_threshold(), blocked otherwise).
 //
 // Devices are process-lifetime singletons, safe to share across threads.
 // Determinism: per device, results are bit-identical for any math_threads
 // value (plans only choose fan-out and kernels accumulate in ascending-k
-// order); fp16 staging is elementwise and deterministic. Across devices the
-// equivalence suite compares within tolerance — documented looser for fp16.
+// order). Across devices results may differ by floating-point contraction;
+// the equivalence suite compares within a tight tolerance.
 #pragma once
 
 #include <cstddef>
@@ -31,26 +30,23 @@
 #include <string>
 #include <vector>
 
+#include "tensor/backend.h"  // math_threads / sparse_density_threshold knobs
 #include "tensor/gemm.h"
-#include "tensor/kernels.h"
 
 namespace subfed {
 
-class MathBackend;
+/// Which kernels a device runs: the naive reference loops, the blocked
+/// panels, or CSR kernels for sparse weight operands (blocked otherwise).
+enum class DeviceKind : std::uint8_t { kNaive, kBlocked, kSparse };
 
-enum class ComputeDType : std::uint8_t { kFp32 = 0, kFp16 = 1 };
-
-const char* compute_dtype_name(ComputeDType dtype) noexcept;
-/// Parses "fp32" | "fp16" (throws CheckError listing the names otherwise).
-ComputeDType parse_compute_dtype(const std::string& name);
-
-/// GEMM orientation, matching MathBackend's three entry points:
-/// kNN: C = A[m×k]·B[k×n]; kTN: A stored [k×m]; kNT: B stored [n×k].
+/// GEMM orientation. kNN: C = A[m×k]·B[k×n]; kTN: A stored [k×m];
+/// kNT: B stored [n×k].
 enum class GemmOp : std::uint8_t { kNN, kTN, kNT };
 
 /// Which GEMM operand is a layer weight with a pruning-stable sparsity
 /// pattern — the operand whose sparse-vs-dense decision the plan cache may
-/// remember under (weight_uid, weight_epoch).
+/// remember under (weight_uid, weight_epoch). kNone lets the sparse device
+/// infer it per call (see Device::gemm).
 enum class WeightSide : std::uint8_t { kNone, kA, kB };
 
 class Device;
@@ -101,22 +97,19 @@ struct DeviceStats {
   std::uint64_t plan_entries = 0;     ///< current plan-cache size
 };
 
-/// A compute device: a MathBackend kernel set + compute dtype + the owned
-/// state described above. All methods are const and thread-safe; the mutable
-/// plan/pool state is internally synchronized.
+/// A compute device: a kernel kind + the owned state described above. All
+/// methods are const and thread-safe; the mutable plan/pool state is
+/// internally synchronized.
 class Device {
  public:
-  Device(const MathBackend& kernels, ComputeDType compute);
+  explicit Device(DeviceKind kind);
   ~Device();
   Device(const Device&) = delete;
   Device& operator=(const Device&) = delete;
 
-  /// "blocked", "sparse+fp16", … — backend name plus a dtype suffix.
+  /// "naive" | "blocked" | "sparse".
   const std::string& name() const noexcept { return name_; }
-  const std::string& backend_name() const noexcept { return backend_name_; }
-  ComputeDType compute() const noexcept { return compute_; }
-  /// The raw kernel set this device executes through.
-  const MathBackend& kernels() const noexcept { return kernels_; }
+  DeviceKind kind() const noexcept { return kind_; }
 
   // --- storage ---------------------------------------------------------------
 
@@ -134,12 +127,12 @@ class Device {
   /// when `weight_side` names a weight operand, pass the owning Parameter's
   /// `uid`/`mask_epoch` so the sparse-vs-dense decision is cached until the
   /// next pruning pass instead of rescanned per call (uid 0 = unknown, scan
-  /// per call). `epilogue` fuses a conv→bn→activation tail into the store-back
-  /// (bit-identical to the unfused layer chain, any device kind).
+  /// per call). With kNone the sparse device scans per call, A first for
+  /// nn/tn, then B for nn/nt when it is at most weight-sized (2^18 floats).
   void gemm(GemmOp op, const float* a, const float* b, float* c, std::size_t m,
             std::size_t k, std::size_t n, bool accumulate,
             WeightSide weight_side = WeightSide::kNone, std::uint64_t weight_uid = 0,
-            std::uint64_t weight_epoch = 0, const GemmEpilogue* epilogue = nullptr) const;
+            std::uint64_t weight_epoch = 0) const;
 
   void im2col(const float* image, const ConvGeometry& g, float* columns,
               std::size_t col_stride, std::size_t col_offset) const;
@@ -155,42 +148,27 @@ class Device {
   void release(float* data, std::size_t floats) const noexcept;
   void execute(GemmOp op, WeightSide side, const float* a, const float* b, float* c,
                std::size_t m, std::size_t k, std::size_t n, bool accumulate,
-               std::size_t chunks, bool use_sparse, bool sparse_decided,
-               const GemmEpilogue* epilogue) const;
+               std::size_t chunks, bool use_sparse) const;
 
-  const MathBackend& kernels_;
-  ComputeDType compute_;
-  std::string backend_name_;
+  DeviceKind kind_;
   std::string name_;
   std::unique_ptr<Impl> impl_;
 };
 
-/// Device registry: backend names ("naive" | "blocked" | "sparse") × compute
-/// dtypes resolve to process-lifetime singletons. Throws CheckError listing
-/// the valid combinations on an unknown backend name.
-const Device& get_device(const std::string& backend,
-                         ComputeDType dtype = ComputeDType::kFp32);
-/// Convenience overload parsing `compute` ("fp32" | "fp16").
-const Device& get_device(const std::string& backend, const std::string& compute);
+/// Device registry: "naive" | "blocked" | "sparse" resolve to
+/// process-lifetime singletons. Throws CheckError listing the valid names on
+/// an unknown one.
+const Device& get_device(const std::string& name);
 
-/// True when `backend` names a registered kernel set.
-bool has_device(const std::string& backend);
+/// True when `name` names a registered device.
+bool has_device(const std::string& name);
 
-/// Every device name the registry resolves: backend names plus their "+fp16"
-/// variants, sorted.
+/// Every registered device name, sorted.
 std::vector<std::string> list_devices();
 
-/// The process-wide default device: SUBFEDAVG_BACKEND (default "blocked") at
-/// SUBFEDAVG_COMPUTE (default "fp32"). Resolved once; a bad env value throws
-/// on first use (ExperimentSpec::make_context resolves eagerly).
+/// The process-wide default device: SUBFEDAVG_BACKEND (default "blocked").
+/// Resolved once; a bad env value throws on first use
+/// (ExperimentSpec::make_context resolves eagerly).
 const Device& default_device();
-
-/// The fp32 device wrapping `kernels` — the shim Layer::set_backend uses to
-/// keep the deprecated MathBackend pointer API working.
-const Device& device_for(const MathBackend& kernels);
-
-/// Process default for fusing conv→bn→activation epilogues into eval-mode
-/// GEMMs: SUBFEDAVG_FUSED (default on). Model::set_fusion overrides per model.
-bool fused_epilogues_default() noexcept;
 
 }  // namespace subfed

@@ -22,6 +22,24 @@ void gemm_ikj(const float* a, const float* b, float* c, std::size_t m, std::size
   }
 }
 
+// C[i,j] (+)= dot(A row i, B row j); both rows are unit-stride. The
+// overwrite form stores the dot product itself, so it is not memset +
+// accumulate (0.0f + -0.0f would lose the sign of a negative zero).
+template <bool kAccumulate>
+void gemm_a_bt_impl(const float* a, const float* b, float* c, std::size_t m, std::size_t k,
+                    std::size_t n) noexcept {
+  for (std::size_t i = 0; i < m; ++i) {
+    const float* arow = a + i * k;
+    float* crow = c + i * n;
+    for (std::size_t j = 0; j < n; ++j) {
+      const float* brow = b + j * k;
+      float acc = 0.0f;
+      for (std::size_t p = 0; p < k; ++p) acc += arow[p] * brow[p];
+      crow[j] = kAccumulate ? crow[j] + acc : acc;
+    }
+  }
+}
+
 }  // namespace
 
 void gemm(const float* a, const float* b, float* c, std::size_t m, std::size_t k,
@@ -38,7 +56,12 @@ void gemm_accumulate(const float* a, const float* b, float* c, std::size_t m,
 void gemm_at_b(const float* a, const float* b, float* c, std::size_t m, std::size_t k,
                std::size_t n) noexcept {
   std::memset(c, 0, m * n * sizeof(float));
-  // C[i,j] = sum_p A[p,i] * B[p,j] — stream rows of A and B together.
+  gemm_at_b_accumulate(a, b, c, m, k, n);
+}
+
+void gemm_at_b_accumulate(const float* a, const float* b, float* c, std::size_t m,
+                          std::size_t k, std::size_t n) noexcept {
+  // C[i,j] += sum_p A[p,i] * B[p,j] — stream rows of A and B together.
   for (std::size_t p = 0; p < k; ++p) {
     const float* arow = a + p * m;
     const float* brow = b + p * n;
@@ -53,17 +76,12 @@ void gemm_at_b(const float* a, const float* b, float* c, std::size_t m, std::siz
 
 void gemm_a_bt(const float* a, const float* b, float* c, std::size_t m, std::size_t k,
                std::size_t n) noexcept {
-  // C[i,j] = dot(A row i, B row j); both rows are unit-stride.
-  for (std::size_t i = 0; i < m; ++i) {
-    const float* arow = a + i * k;
-    float* crow = c + i * n;
-    for (std::size_t j = 0; j < n; ++j) {
-      const float* brow = b + j * k;
-      float acc = 0.0f;
-      for (std::size_t p = 0; p < k; ++p) acc += arow[p] * brow[p];
-      crow[j] = acc;
-    }
-  }
+  gemm_a_bt_impl<false>(a, b, c, m, k, n);
+}
+
+void gemm_a_bt_accumulate(const float* a, const float* b, float* c, std::size_t m,
+                          std::size_t k, std::size_t n) noexcept {
+  gemm_a_bt_impl<true>(a, b, c, m, k, n);
 }
 
 void im2col(const float* image, const ConvGeometry& g, float* columns) noexcept {

@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <set>
 
+#include "comm/channel.h"
 #include "comm/quantize.h"
 #include "data/client_data.h"
 #include "fl/checkpoint.h"
@@ -295,7 +296,8 @@ TEST(Quantize, Fp16StateRoundTrip) {
   Rng rng(6);
   Model m = ModelSpec::cnn5(10).build_init(rng);
   const StateDict state = m.state();
-  const StateDict back = dequantize_state(quantize_state(state, QuantKind::kFp16));
+  const StateDict back =
+      decode_payload(encode_payload(state, /*mask=*/nullptr, QuantCodec::kFp16));
   ASSERT_EQ(back.size(), state.size());
   double worst = 0.0;
   for (std::size_t e = 0; e < state.size(); ++e) {
@@ -312,7 +314,8 @@ TEST(Quantize, Int8ErrorBoundedByScale) {
   Rng rng(7);
   Model m = ModelSpec::cnn5(10).build_init(rng);
   const StateDict state = m.state();
-  const StateDict back = dequantize_state(quantize_state(state, QuantKind::kInt8));
+  const StateDict back =
+      decode_payload(encode_payload(state, /*mask=*/nullptr, QuantCodec::kInt8));
   for (std::size_t e = 0; e < state.size(); ++e) {
     const float bound = state[e].second.abs_max() / 127.0f * 0.51f + 1e-7f;
     for (std::size_t i = 0; i < state[e].second.numel(); ++i) {
@@ -321,26 +324,16 @@ TEST(Quantize, Int8ErrorBoundedByScale) {
   }
 }
 
-TEST(Quantize, PayloadAccounting) {
-  Rng rng(8);
-  Model m = ModelSpec::cnn5(10).build_init(rng);
-  const StateDict state = m.state();
-  const std::size_t n = state.numel();
-  EXPECT_EQ(quantized_payload_bytes(state, QuantKind::kFp16), n * 2);
-  EXPECT_EQ(quantized_payload_bytes(state, QuantKind::kInt8), n + 4 * state.size());
-  // fp16 halves the dense fp32 payload.
-  EXPECT_EQ(quantized_payload_bytes(state, QuantKind::kFp16) * 2, n * 4);
-}
-
 TEST(Quantize, RejectsCorruptBuffers) {
   Rng rng(9);
   Model m = ModelSpec::cnn5(10).build_init(rng);
-  std::vector<std::uint8_t> bytes = quantize_state(m.state(), QuantKind::kFp16);
+  std::vector<std::uint8_t> bytes = encode_payload(m.state(), nullptr, QuantCodec::kFp16);
   bytes[0] ^= 0xFF;
-  EXPECT_THROW(dequantize_state(bytes), CheckError);
-  std::vector<std::uint8_t> truncated = quantize_state(m.state(), QuantKind::kInt8);
+  EXPECT_THROW(decode_payload(bytes), CheckError);
+  std::vector<std::uint8_t> truncated =
+      encode_payload(m.state(), nullptr, QuantCodec::kInt8);
   truncated.resize(truncated.size() - 3);
-  EXPECT_THROW(dequantize_state(truncated), CheckError);
+  EXPECT_THROW(decode_payload(truncated), CheckError);
 }
 
 // ---------------- Dropout fault injection --------------------------------------

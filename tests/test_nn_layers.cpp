@@ -112,6 +112,17 @@ TEST(ReLU, BackwardGatesGradient) {
   EXPECT_FLOAT_EQ(gx[2], 7.0f);
 }
 
+TEST(ReLU, EvalForwardMatchesTrainAndKeepsNoMask) {
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  ReLU relu;
+  Tensor x({1, 5}, std::vector<float>{-1.0f, -0.0f, 0.0f, 2.0f, nan});
+  const Tensor train_y = relu.forward(x, /*train=*/true);
+  const Tensor eval_y = relu.forward(x, /*train=*/false);
+  EXPECT_EQ(std::memcmp(train_y.data(), eval_y.data(), x.numel() * sizeof(float)), 0);
+  // Eval builds no mask for backward to read, so backward after it fails.
+  EXPECT_THROW(relu.backward(Tensor({1, 5}, 1.0f)), CheckError);
+}
+
 TEST(MaxPool2d, ForwardPicksMaxAndBackwardRoutes) {
   MaxPool2d pool(2);
   Tensor x({1, 1, 2, 2}, std::vector<float>{1, 9, 3, 4});

@@ -1,10 +1,13 @@
-// FedAvg+FT baseline and corrupted-update handling.
+// FedAvg+FT baseline, corrupted-update handling, and bounded decoding of
+// updates, quantized payloads and envelopes.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <string>
 #include <vector>
 
+#include "comm/channel.h"
+#include "comm/quantize.h"
 #include "comm/serialize.h"
 #include "core/aggregate.h"
 #include "fl/driver.h"
@@ -361,6 +364,110 @@ TEST(BoundedDecode, ValidUpdatesStillRoundTrip) {
   const Tensor& want = state[0].second;
   for (std::size_t i = 0; i < w.numel(); ++i) {
     EXPECT_EQ(w.data()[i], bits.data()[i] != 0.0f ? want.data()[i] : 0.0f) << i;
+  }
+}
+
+// The same bounds on the quantized payload codec and the envelope framing:
+// fanout-style int8/fp16 uploads decode through decode_payload, and every
+// transport message through decode_envelope.
+
+void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
+  for (int i = 0; i < 4; ++i) out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+}
+
+/// A quantized payload header for one entry named "w" (magic, codec tag,
+/// entry count, name, rank, dims, masked flag) with no values behind it.
+std::vector<std::uint8_t> crafted_payload(QuantCodec codec, std::uint32_t rank,
+                                          const std::vector<std::uint32_t>& dims,
+                                          std::uint8_t masked) {
+  std::vector<std::uint8_t> out;
+  put_u32(out, 0x53465150);  // "SFQP"
+  out.push_back(static_cast<std::uint8_t>(codec));
+  put_u32(out, 1);
+  put_u32(out, 1);
+  out.push_back('w');
+  put_u32(out, rank);
+  for (const std::uint32_t d : dims) put_u32(out, d);
+  out.push_back(masked);
+  return out;
+}
+
+TEST(BoundedDecode, EnvelopeHugeSectionCountIsACheckError) {
+  Envelope envelope;
+  envelope.kind = MessageKind::kClientUpdate;
+  std::vector<std::uint8_t> bytes = encode_envelope(envelope);
+  // The section count is the header's last field; declare 2^32 - 1 sections.
+  ASSERT_GE(bytes.size(), 4u);
+  for (std::size_t i = bytes.size() - 4; i < bytes.size(); ++i) bytes[i] = 0xFF;
+  EXPECT_THROW(decode_envelope(bytes), CheckError);
+  // A plausible count with too few bytes behind it fails the same way.
+  bytes.resize(bytes.size() - 4);
+  put_u32(bytes, 3);
+  put_u32(bytes, 0);
+  EXPECT_THROW(decode_envelope(bytes), CheckError);
+}
+
+TEST(BoundedDecode, QuantizedPayloadHugeRankIsACheckError) {
+  for (const QuantCodec codec : {QuantCodec::kFp16, QuantCodec::kInt8}) {
+    ModelMask mask;
+    EXPECT_THROW(decode_payload(crafted_payload(codec, 0xFFFFFFFFu, {}, 0)), CheckError);
+    EXPECT_THROW(
+        decode_payload(crafted_payload(codec, 9, std::vector<std::uint32_t>(9, 1), 1), &mask),
+        CheckError);
+  }
+}
+
+TEST(BoundedDecode, QuantizedPayloadHugeShapeIsACheckErrorNotAnAllocation) {
+  const std::vector<std::uint32_t> huge = {200000, 200000};  // 4·10^10 elements
+  const std::vector<std::uint32_t> overflow(3, 0xFFFFFFFFu);
+  for (const QuantCodec codec : {QuantCodec::kFp16, QuantCodec::kInt8}) {
+    for (const std::uint8_t masked : {0, 1}) {
+      ModelMask mask;
+      EXPECT_THROW(decode_payload(crafted_payload(codec, 2, huge, masked), &mask), CheckError);
+      EXPECT_THROW(decode_payload(crafted_payload(codec, 3, overflow, masked), &mask),
+                   CheckError);
+    }
+  }
+}
+
+TEST(BoundedDecode, ValidQuantizedPayloadsStillRoundTrip) {
+  Rng rng(5);
+  Model m = ModelSpec::cnn5(10).build_init(rng);
+  const StateDict state = m.state();
+  ModelMask mask = ModelMask::ones_like(m, MaskScope::kAllPrunable);
+  Tensor bits = *mask.find("conv1.weight");
+  for (std::size_t i = 0; i < bits.numel(); i += 3) bits.data()[i] = 0.0f;
+  mask.set("conv1.weight", bits);
+
+  for (const QuantCodec codec : {QuantCodec::kFp16, QuantCodec::kInt8}) {
+    for (const bool masked : {false, true}) {
+      const std::string label = quant_codec_name(codec) + (masked ? " masked" : "");
+      ModelMask decoded_mask;
+      const StateDict back =
+          decode_payload(encode_payload(state, masked ? &mask : nullptr, codec), &decoded_mask);
+      ASSERT_EQ(back.size(), state.size()) << label;
+      EXPECT_EQ(decoded_mask.find("conv1.weight") != nullptr, masked) << label;
+      if (masked) EXPECT_EQ(*decoded_mask.find("conv1.weight"), bits) << label;
+      for (std::size_t e = 0; e < state.size(); ++e) {
+        const Tensor& want = state[e].second;
+        const Tensor& got = back[e].second;
+        ASSERT_EQ(back[e].first, state[e].first) << label;
+        ASSERT_EQ(got.shape(), want.shape()) << label;
+        const Tensor* keep = masked ? mask.find(state[e].first) : nullptr;
+        const float int8_bound = want.abs_max() / 127.0f * 0.51f + 1e-7f;
+        for (std::size_t i = 0; i < want.numel(); ++i) {
+          if (keep != nullptr && keep->data()[i] == 0.0f) {
+            ASSERT_EQ(got.data()[i], 0.0f) << label << " " << state[e].first << " at " << i;
+          } else if (codec == QuantCodec::kFp16) {
+            ASSERT_EQ(got.data()[i], fp16_to_fp32(fp32_to_fp16(want.data()[i])))
+                << label << " " << state[e].first << " at " << i;
+          } else {
+            ASSERT_NEAR(got.data()[i], want.data()[i], int8_bound)
+                << label << " " << state[e].first << " at " << i;
+          }
+        }
+      }
+    }
   }
 }
 
