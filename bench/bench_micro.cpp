@@ -14,6 +14,7 @@
 #include "nn/conv2d.h"
 #include "nn/model_zoo.h"
 #include "pruning/unstructured.h"
+#include "tensor/backend.h"
 #include "tensor/device.h"
 #include "util/rng.h"
 
@@ -46,11 +47,26 @@ void BM_Gemm(benchmark::State& state) {
 }
 BENCHMARK(BM_Gemm)->Arg(32)->Arg(64)->Arg(128);
 
+/// Sets math_threads for one benchmark's scope and restores it afterwards.
+class MathThreadsScope {
+ public:
+  explicit MathThreadsScope(std::size_t n) : saved_(math_threads()) { set_math_threads(n); }
+  ~MathThreadsScope() { set_math_threads(saved_); }
+  MathThreadsScope(const MathThreadsScope&) = delete;
+  MathThreadsScope& operator=(const MathThreadsScope&) = delete;
+
+ private:
+  std::size_t saved_;
+};
+
 /// args: {size, device index, weight density %}, through Device::gemm with
 /// no weight hint (the sparse device scans A per call). items/sec is
 /// dense-equiv FLOPs, so "sparse at 20%" reads directly against "blocked at
-/// 100%".
+/// 100%". Runs single-threaded, as BENCH_gemm's kernel ratios were measured:
+/// the blocked kernel fans out over row panels and the CSR kernel gains less,
+/// so the sparse-vs-blocked ratio would otherwise depend on the core count.
 void BM_GemmBackend(benchmark::State& state) {
+  const MathThreadsScope single_threaded(1);
   const std::size_t n = static_cast<std::size_t>(state.range(0));
   const Device& dev = get_device(kBackendNames[state.range(1)]);
   const int density_pct = static_cast<int>(state.range(2));

@@ -2,13 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
-#include <numeric>
 
 #include "comm/quantize.h"
 #include "comm/serialize.h"
 #include "fl/robust.h"
 #include "telemetry/trace.h"
+#include "util/bytes.h"
 #include "util/check.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
@@ -19,80 +18,6 @@ namespace {
 
 constexpr std::uint32_t kEnvelopeMagic = 0x53464556;  // "SFEV"
 constexpr std::uint32_t kQuantMagic = 0x53465150;     // "SFQP"
-
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t value) {
-  for (int i = 0; i < 4; ++i) out.push_back(static_cast<std::uint8_t>(value >> (8 * i)));
-}
-
-void put_u64(std::vector<std::uint8_t>& out, std::uint64_t value) {
-  for (int i = 0; i < 8; ++i) out.push_back(static_cast<std::uint8_t>(value >> (8 * i)));
-}
-
-void put_f32(std::vector<std::uint8_t>& out, float value) {
-  std::uint32_t bits;
-  std::memcpy(&bits, &value, 4);
-  put_u32(out, bits);
-}
-
-class Reader {
- public:
-  explicit Reader(std::span<const std::uint8_t> bytes) : bytes_(bytes) {}
-
-  std::uint8_t u8() {
-    SUBFEDAVG_CHECK(pos_ < bytes_.size(), "truncated message");
-    return bytes_[pos_++];
-  }
-
-  std::uint16_t u16() {
-    SUBFEDAVG_CHECK(pos_ + 2 <= bytes_.size(), "truncated message");
-    std::uint16_t v = 0;
-    for (int i = 0; i < 2; ++i) v |= static_cast<std::uint16_t>(bytes_[pos_ + i]) << (8 * i);
-    pos_ += 2;
-    return v;
-  }
-
-  std::uint32_t u32() {
-    SUBFEDAVG_CHECK(pos_ + 4 <= bytes_.size(), "truncated message");
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) v |= static_cast<std::uint32_t>(bytes_[pos_ + i]) << (8 * i);
-    pos_ += 4;
-    return v;
-  }
-
-  std::uint64_t u64() {
-    std::uint64_t v = u32();
-    v |= static_cast<std::uint64_t>(u32()) << 32;
-    return v;
-  }
-
-  float f32() {
-    const std::uint32_t bits = u32();
-    float v;
-    std::memcpy(&v, &bits, 4);
-    return v;
-  }
-
-  std::string str(std::size_t n) {
-    SUBFEDAVG_CHECK(pos_ + n <= bytes_.size(), "truncated message");
-    std::string s(reinterpret_cast<const char*>(bytes_.data() + pos_), n);
-    pos_ += n;
-    return s;
-  }
-
-  std::span<const std::uint8_t> raw(std::size_t n) {
-    SUBFEDAVG_CHECK(pos_ + n <= bytes_.size(), "truncated message");
-    std::span<const std::uint8_t> s = bytes_.subspan(pos_, n);
-    pos_ += n;
-    return s;
-  }
-
-  std::size_t remaining() const noexcept { return bytes_.size() - pos_; }
-  bool done() const noexcept { return pos_ == bytes_.size(); }
-
- private:
-  std::span<const std::uint8_t> bytes_;
-  std::size_t pos_ = 0;
-};
 
 /// Writes the kept values of one tensor at the codec's precision.
 void put_values(std::vector<std::uint8_t>& out, const Tensor& tensor, const Tensor* mask,
@@ -166,7 +91,7 @@ std::vector<std::uint8_t> encode_envelope(const Envelope& envelope) {
 }
 
 Envelope decode_envelope(std::span<const std::uint8_t> bytes) {
-  Reader reader(bytes);
+  ByteReader reader(bytes, "message");
   SUBFEDAVG_CHECK(reader.u32() == kEnvelopeMagic, "bad envelope magic");
   Envelope envelope;
   const std::uint8_t kind = reader.u8();
@@ -246,7 +171,7 @@ StateDict decode_payload_impl(std::span<const std::uint8_t> bytes, ModelMask* ma
   for (int i = 0; i < 4; ++i) magic |= static_cast<std::uint32_t>(bytes[i]) << (8 * i);
   if (magic != kQuantMagic) return decode_update(bytes, mask_out);
 
-  Reader reader(bytes);
+  ByteReader reader(bytes, "message");
   reader.u32();  // magic
   const std::uint8_t quant_tag = reader.u8();
   SUBFEDAVG_CHECK(quant_tag == static_cast<std::uint8_t>(QuantCodec::kFp16) ||
@@ -399,34 +324,18 @@ std::vector<std::uint8_t> encode_client_reply(const ChannelConfig& config, std::
 // ---------------------------------------------------------------------------
 // Channel
 
-bool has_channel_transport(const std::string& name) {
-  return name == "memory" || has_transport(name);
-}
-
 Channel::Channel(ChannelConfig config, CommLedger* ledger)
     : config_(std::move(config)), ledger_(ledger) {
   SUBFEDAVG_CHECK(ledger_ != nullptr, "channel needs a ledger");
-  SUBFEDAVG_CHECK(has_channel_transport(config_.transport),
-                  "unknown transport '" << config_.transport
-                                        << "' (memory | loopback | subprocess | tcp)");
-  if (config_.transport == "memory") {
-    // The fast path never materializes payloads, so codecs that change the
-    // bytes (or the values) cannot be honored there.
-    SUBFEDAVG_CHECK(config_.quantize == QuantCodec::kNone && !config_.delta,
-                    "codec=" << (config_.delta ? "delta" : "sparse") << " quantize="
-                             << quant_codec_name(config_.quantize)
-                             << " require transport=loopback or subprocess");
-  } else {
-    TransportOptions options;
-    options.workers = config_.workers;
-    options.listen = config_.listen;
-    options.rpc_timeout_ms = config_.rpc_timeout_ms;
-    options.setup = config_.remote_setup;
-    // Buffered aggregation can absorb a dead worker as an evicted straggler;
-    // a synchronous round cannot, so there a death must fail the round.
-    options.tolerate_failures = config_.buffered;
-    transport_ = make_transport(config_.transport, options);
-  }
+  TransportOptions options;
+  options.workers = config_.workers;
+  options.listen = config_.listen;
+  options.rpc_timeout_ms = config_.rpc_timeout_ms;
+  options.setup = config_.remote_setup;
+  // Buffered aggregation can absorb a dead worker as an evicted straggler;
+  // a synchronous round cannot, so there a death must fail the round.
+  options.tolerate_failures = config_.buffered;
+  transport_ = make_transport(config_.transport, options);
   SUBFEDAVG_CHECK(config_.staleness_decay >= 0.0,
                   "staleness decay " << config_.staleness_decay << " must be >= 0");
 }
@@ -466,30 +375,18 @@ std::vector<Exchange> Channel::run_round(std::size_t round, std::span<const Clie
   for (const ClientJob& job : jobs) {
     SUBFEDAVG_CHECK(job.broadcast != nullptr, "client job needs a broadcast state");
   }
-  std::vector<Exchange> fresh = transport_ == nullptr
-                                    ? run_in_memory(round, jobs, client_fn)
-                                    : run_materialized(round, jobs, client_fn);
+  std::vector<Exchange> fresh = run_exchanges(round, jobs, client_fn);
   if (!config_.buffered) return fresh;
-  return close_buffered_round(round, std::move(fresh), last_fresh_arrival_order_);
+  return close_buffered_round(round, std::move(fresh));
 }
 
-std::vector<Exchange> Channel::close_buffered_round(
-    std::size_t round, std::vector<Exchange> fresh,
-    std::span<const std::size_t> arrival_order) {
-  // Fresh replies in arrival order: as reported by the transport, or — on the
-  // memory fast path, which materializes nothing — by each client's simulated
-  // link+compute completion time (ties broken by sampled position).
-  // A genuine transport order may legitimately be SHORTER than `fresh` — tcp
-  // reports a dead worker's exchange by omission and those entries are
-  // evicted below, never re-sorted back in.
-  std::vector<std::size_t> order(arrival_order.begin(), arrival_order.end());
-  if (last_order_simulated_) {
-    order.resize(fresh.size());
-    std::iota(order.begin(), order.end(), 0);
-    std::stable_sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-      return last_arrival_seconds_[a] < last_arrival_seconds_[b];
-    });
-  }
+std::vector<Exchange> Channel::close_buffered_round(std::size_t round,
+                                                    std::vector<Exchange> fresh) {
+  // Fresh replies in the transport's arrival order. It may legitimately be
+  // SHORTER than `fresh` — tcp reports a dead worker's exchange by omission
+  // (run_exchanges already counted it evicted), and only exchanges in
+  // `order` are ever delivered or parked.
+  const std::vector<std::size_t>& order = last_fresh_arrival_order_;
 
   // The buffer fills with parked updates first — they arrived while earlier
   // rounds were already closed, so they sit at the head of the queue — oldest
@@ -537,7 +434,7 @@ std::vector<Exchange> Channel::close_buffered_round(
   // in sampled order, so a full buffer with nothing parked is bit-identical
   // to sync mode.
   const std::size_t fresh_slots = out.size() < k ? k - out.size() : 0;
-  const std::size_t take = std::min(fresh_slots, fresh.size());
+  const std::size_t take = std::min(fresh_slots, order.size());
   std::vector<bool> in_round(fresh.size(), false);
   for (std::size_t r = 0; r < take; ++r) {
     in_round[order[r]] = true;
@@ -559,42 +456,9 @@ std::vector<Exchange> Channel::close_buffered_round(
   return out;
 }
 
-std::vector<Exchange> Channel::run_in_memory(std::size_t round,
+std::vector<Exchange> Channel::run_exchanges(std::size_t round,
                                              std::span<const ClientJob> jobs,
                                              const ClientFn& client_fn) {
-  std::vector<Exchange> exchanges(jobs.size());
-  std::vector<std::size_t> up_bytes(jobs.size(), 0), down_bytes(jobs.size(), 0);
-  std::vector<std::size_t> dense_scalars(jobs.size(), 0);
-
-  // The fast path fuses broadcast, compute, and collect into one pass, so the
-  // whole thing reports as the exchange phase (encode/collect stay zero).
-  const telemetry::StopWatch exchange_watch;
-  ThreadPool::global().parallel_for(jobs.size(), [&](std::size_t i) {
-    const ClientJob& job = jobs[i];
-    down_bytes[i] = job.payload_copies * payload_bytes(*job.broadcast, job.mask);
-    ClientResult result = client_fn(job, *job.broadcast, /*detached=*/false);
-    const ModelMask* mask = result.update.mask.empty() ? nullptr : &result.update.mask;
-    up_bytes[i] = result.payload_copies * payload_bytes(result.update.state, mask);
-    dense_scalars[i] = job.payload_copies * job.broadcast->numel() +
-                       result.payload_copies * result.update.state.numel();
-    exchanges[i].client = job.client;
-    exchanges[i].update = std::move(result.update);
-    exchanges[i].state = std::move(result.state);
-  });
-  last_phase_seconds_ = {};
-  last_phase_seconds_.exchange = exchange_watch.seconds();
-  telemetry::record_span("transport_exchange", exchange_watch);
-
-  last_fresh_arrival_order_.clear();  // no transport: simulated arrival order
-  last_order_simulated_ = true;
-  last_failed_.clear();
-  finish_round(round, jobs, exchanges, up_bytes, down_bytes, dense_scalars);
-  return exchanges;
-}
-
-std::vector<Exchange> Channel::run_materialized(std::size_t round,
-                                                std::span<const ClientJob> jobs,
-                                                const ClientFn& client_fn) {
   // Server side, downlink: one Broadcast envelope per sampled client. With
   // the delta codec the server also keeps its own decode of each payload —
   // the broadcast AS RECEIVED — so the uplink pass can add the reference back
@@ -661,7 +525,6 @@ std::vector<Exchange> Channel::run_materialized(std::size_t round,
   std::vector<std::vector<std::uint8_t>> responses(jobs.size());
   last_fresh_arrival_order_.clear();
   last_fresh_arrival_order_.reserve(landed.size());
-  last_order_simulated_ = false;
   last_failed_.assign(jobs.size(), 0);
   std::size_t delivered = 0;
   std::string first_error;
@@ -747,7 +610,7 @@ void Channel::finish_round(std::size_t round, std::span<const ClientJob> jobs,
 
   // Corruption is injected here — after the server decoded the upload, in
   // sampled order, from a per-round stream — so every transport and codec
-  // yields the same corrupted cohort as the legacy in-memory path.
+  // yields the same corrupted cohort.
   if (config_.corrupt_fraction > 0.0) {
     Rng corrupt_rng = Rng(config_.seed).split("corrupt-updates", round);
     const CorruptionConfig corruption{1.0, static_cast<float>(config_.corrupt_noise)};
@@ -756,7 +619,7 @@ void Channel::finish_round(std::size_t round, std::span<const ClientJob> jobs,
       // cohort stays aligned across transports; an evicted exchange is never
       // actually corrupted (nothing arrived to corrupt).
       if (!corrupt_rng.bernoulli(config_.corrupt_fraction)) continue;
-      if (!last_failed_.empty() && last_failed_[i] != 0) continue;
+      if (last_failed_[i] != 0) continue;
       corrupt_update(exchanges[i].update, corruption, corrupt_rng);
       exchanges[i].corrupted = true;
       ++corrupted_updates_;

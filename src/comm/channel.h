@@ -12,14 +12,13 @@
 //   quantize — fp16 / int8 kept-value precision (comm/quantize.h's scalar
 //              codecs, applied mask-aware)
 //
-// Transports (comm/transport.h) decide where the client half runs:
+// Transports (comm/transport.h) decide where the client half runs. Every one
+// materializes its payloads, and the ledger charges the encoded section-0
+// bytes (comm/serialize.h's payload_bytes + encoded_header_bytes for the
+// lossless codec) — one accounting model:
 //
-//   memory     — the legacy fast path: no bytes are materialized, the ledger
-//                charges comm/serialize.h's payload model (no headers), and
-//                lossy codecs are rejected. Bit-identical to the pre-channel
-//                in-memory implementation.
-//   loopback   — every payload genuinely round-trips encode → decode in
-//                process; the ledger charges the materialized message bytes.
+//   loopback   — the default: every payload genuinely round-trips encode →
+//                decode in process.
 //   subprocess — like loopback, but the client half runs in forked workers
 //                speaking length-prefixed envelopes over pipes (crash
 //                isolation; client-state mutations return as side-band
@@ -47,8 +46,8 @@
 //              1/(1+staleness)^staleness_decay (ClientUpdate::weight, honored
 //              mask-aware by every aggregation rule). Updates parked past
 //              max_staleness are evicted. Arrival order comes from the
-//              transport: subprocess reports genuine pipe order, loopback and
-//              memory order by each client's simulated link+compute time
+//              transport: subprocess and tcp report genuine arrival order,
+//              loopback orders by each client's simulated link+compute time
 //              under the LinkFleet. Round time is the K-th arrival instead of
 //              the max. With buffer_k == sampled count nothing is ever parked
 //              and the mode is bit-identical to sync.
@@ -80,7 +79,7 @@ QuantCodec parse_quant_codec(const std::string& name);
 std::string quant_codec_name(QuantCodec codec);
 
 struct ChannelConfig {
-  std::string transport = "memory";  ///< memory | loopback | subprocess | tcp
+  std::string transport = "loopback";  ///< loopback | subprocess | tcp
   bool delta = false;                ///< uplink delta vs the received broadcast
   QuantCodec quantize = QuantCodec::kNone;
   std::size_t workers = 0;           ///< subprocess fan-out / tcp fleet size
@@ -148,11 +147,6 @@ struct ClientJob {
   std::size_t client = 0;
   const StateDict* broadcast = nullptr;  ///< server payload down (required)
   const ModelMask* mask = nullptr;       ///< limits the broadcast to kept entries
-  /// Memory-path byte multiplier for protocols whose wire payload is N
-  /// identical model-sized sections (MTL's dual state): the fast path charges
-  /// N × payload_bytes without building the copies. Materializing transports
-  /// ignore it — hand them a broadcast that already contains the copies.
-  std::size_t payload_copies = 1;
   /// Side-band client state shipped DOWN with the broadcast (uncharged). Fill
   /// only when Channel::ships_client_state() — remote workers hold no client
   /// mirrors, so each exchange carries everything the client needs in.
@@ -164,7 +158,6 @@ struct ClientResult {
   ClientUpdate update;            ///< uplink payload (mask optional)
   std::vector<StateDict> state;   ///< side-band client-state mirror; fill only
                                   ///< when the job says `detached`
-  std::size_t payload_copies = 1; ///< uplink twin of ClientJob::payload_copies
 };
 
 /// The server-side view of one completed exchange. Synchronous rounds yield
@@ -197,9 +190,8 @@ using RemoteClientFn = std::function<ClientResult(std::size_t round, const Clien
 
 class Channel {
  public:
-  /// Validates the configuration (lossy codecs need a materializing
-  /// transport) and constructs the transport backend. `ledger` must outlive
-  /// the channel.
+  /// Validates the configuration and constructs the transport backend.
+  /// `ledger` must outlive the channel.
   Channel(ChannelConfig config, CommLedger* ledger);
   ~Channel();
 
@@ -211,19 +203,14 @@ class Channel {
   /// True when jobs must carry each client's side-band state DOWN
   /// (ClientJob::state): the handler runs on a remote machine that shares no
   /// memory — not even copy-on-write — with this process.
-  bool ships_client_state() const noexcept {
-    return transport_ != nullptr && transport_->remote();
-  }
+  bool ships_client_state() const noexcept { return transport_->remote(); }
 
   /// The transport's accept address ("host:port" with any ephemeral port
   /// resolved); empty for in-process backends. Workers join it.
-  std::string transport_endpoint() const {
-    return transport_ != nullptr ? transport_->endpoint() : std::string{};
-  }
+  std::string transport_endpoint() const { return transport_->endpoint(); }
 
-  /// The transport itself (null on the memory fast path) — the resident
-  /// server (serve/server.h) admits joins and counts participants through it
-  /// between rounds.
+  /// The transport itself — the resident server (serve/server.h) admits joins
+  /// and counts participants through it between rounds.
   Transport* transport() noexcept { return transport_.get(); }
 
   /// Worker side of one remote exchange: decodes a kExchange request payload
@@ -256,8 +243,7 @@ class Channel {
   /// Wall-clock phase breakdown of the most recent run_round, in seconds.
   /// All zeros when telemetry is off (the stopwatches never read the clock).
   /// `encode` is the broadcast-encode fan-out, `exchange` the transport
-  /// round-trip, `collect` the reply decode + round bookkeeping; the memory
-  /// fast path reports its single fused pass as `exchange`.
+  /// round-trip, `collect` the reply decode + round bookkeeping.
   struct PhaseSeconds {
     double encode = 0.0;
     double exchange = 0.0;
@@ -305,12 +291,10 @@ class Channel {
     double remaining_seconds = 0.0;
   };
 
-  std::vector<Exchange> run_in_memory(std::size_t round, std::span<const ClientJob> jobs,
+  std::vector<Exchange> run_exchanges(std::size_t round, std::span<const ClientJob> jobs,
                                       const ClientFn& client_fn);
-  std::vector<Exchange> run_materialized(std::size_t round, std::span<const ClientJob> jobs,
-                                         const ClientFn& client_fn);
   /// `dense_scalars[i]` is exchange i's logical fp32-dense scalar count (down
-  /// + up, payload copies included) — the compression baseline. Also derives
+  /// + up) — the compression baseline. Also derives
   /// each exchange's simulated completion time and the synchronous round
   /// duration.
   void finish_round(std::size_t round, std::span<const ClientJob> jobs,
@@ -319,30 +303,21 @@ class Channel {
                     std::span<const std::size_t> down_bytes,
                     std::span<const std::size_t> dense_scalars);
   /// Buffered close: selects the round's buffer (parked first, then fresh in
-  /// arrival order), parks the overflow, applies staleness weights and the
-  /// K-th-arrival round time. `arrival_order` holds fresh-exchange indices in
-  /// arrival order.
-  std::vector<Exchange> close_buffered_round(std::size_t round,
-                                             std::vector<Exchange> fresh,
-                                             std::span<const std::size_t> arrival_order);
+  /// the transport's arrival order), parks the overflow, applies staleness
+  /// weights and the K-th-arrival round time.
+  std::vector<Exchange> close_buffered_round(std::size_t round, std::vector<Exchange> fresh);
   double arrival_seconds(const ClientRoundCost& cost) const;
 
   ChannelConfig config_;
   CommLedger* ledger_;
-  std::unique_ptr<Transport> transport_;  ///< null for the memory fast path
+  std::unique_ptr<Transport> transport_;  ///< never null
   const LinkFleet* fleet_ = nullptr;      ///< not owned; null → nominal rates
   std::vector<ClientRoundCost> last_round_costs_;
   std::vector<double> last_arrival_seconds_;  ///< aligned with fresh exchanges
-  /// Fresh-exchange indices in transport arrival order; empty on the memory
-  /// fast path (simulated order is derived from last_arrival_seconds_).
+  /// Delivered fresh-exchange indices in transport arrival order. Shorter
+  /// than the round when tcp reported failed exchanges (by omission).
   std::vector<std::size_t> last_fresh_arrival_order_;
-  /// True when the last round ran in memory (arrival order must be simulated
-  /// from last_arrival_seconds_). A genuine transport order stays authoritative
-  /// even when shorter than the round — tcp reports failed exchanges by
-  /// omission, and those are evictions, not candidates for re-sorting.
-  bool last_order_simulated_ = true;
-  /// Per-exchange failure flags for the last materialized round (tcp worker
-  /// deaths); empty means every exchange delivered.
+  /// Per-exchange failure flags for the last round (tcp worker deaths).
   std::vector<char> last_failed_;
   double last_round_seconds_ = 0.0;
   PhaseSeconds last_phase_seconds_;
@@ -353,8 +328,5 @@ class Channel {
   std::uint64_t dense_reference_bytes_ = 0;
   std::uint64_t charged_bytes_ = 0;
 };
-
-/// Names Channel accepts for ChannelConfig::transport.
-bool has_channel_transport(const std::string& name);
 
 }  // namespace subfed

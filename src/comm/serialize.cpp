@@ -1,8 +1,8 @@
 #include "comm/serialize.h"
 
 #include <cstdint>
-#include <cstring>
 
+#include "util/bytes.h"
 #include "util/check.h"
 
 namespace subfed {
@@ -10,60 +10,6 @@ namespace subfed {
 namespace {
 
 constexpr std::uint32_t kMagic = 0x53464156;  // "SFAV"
-
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t value) {
-  for (int i = 0; i < 4; ++i) out.push_back(static_cast<std::uint8_t>(value >> (8 * i)));
-}
-
-void put_f32(std::vector<std::uint8_t>& out, float value) {
-  std::uint32_t bits;
-  std::memcpy(&bits, &value, 4);
-  put_u32(out, bits);
-}
-
-class Reader {
- public:
-  explicit Reader(std::span<const std::uint8_t> bytes) : bytes_(bytes) {}
-
-  std::uint32_t u32() {
-    SUBFEDAVG_CHECK(pos_ + 4 <= bytes_.size(), "truncated update");
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) v |= static_cast<std::uint32_t>(bytes_[pos_ + i]) << (8 * i);
-    pos_ += 4;
-    return v;
-  }
-
-  float f32() {
-    const std::uint32_t bits = u32();
-    float v;
-    std::memcpy(&v, &bits, 4);
-    return v;
-  }
-
-  std::uint8_t u8() {
-    SUBFEDAVG_CHECK(pos_ < bytes_.size(), "truncated update");
-    return bytes_[pos_++];
-  }
-
-  std::string str(std::size_t n) {
-    const std::span<const std::uint8_t> raw = bytes(n);
-    return {reinterpret_cast<const char*>(raw.data()), raw.size()};
-  }
-
-  std::span<const std::uint8_t> bytes(std::size_t n) {
-    SUBFEDAVG_CHECK(n <= remaining(), "truncated update");
-    const std::span<const std::uint8_t> out = bytes_.subspan(pos_, n);
-    pos_ += n;
-    return out;
-  }
-
-  std::size_t remaining() const noexcept { return bytes_.size() - pos_; }
-  bool done() const noexcept { return pos_ == bytes_.size(); }
-
- private:
-  std::span<const std::uint8_t> bytes_;
-  std::size_t pos_ = 0;
-};
 
 }  // namespace
 
@@ -107,7 +53,7 @@ std::vector<std::uint8_t> encode_update(const StateDict& state, const ModelMask*
 }
 
 StateDict decode_update(std::span<const std::uint8_t> bytes, ModelMask* mask_out) {
-  Reader reader(bytes);
+  ByteReader reader(bytes, "update");
   SUBFEDAVG_CHECK(reader.u32() == kMagic, "bad update magic");
   const std::uint32_t entries = reader.u32();
 
@@ -142,7 +88,7 @@ StateDict decode_update(std::span<const std::uint8_t> bytes, ModelMask* mask_out
     if (!masked) {
       for (std::size_t i = 0; i < tensor.numel(); ++i) values[i] = reader.f32();
     } else {
-      const std::span<const std::uint8_t> bitmap = reader.bytes(declared);
+      const std::span<const std::uint8_t> bitmap = reader.raw(declared);
       const auto keep = [&](std::size_t i) { return ((bitmap[i / 8] >> (i % 8)) & 1) != 0; };
       for (std::size_t i = 0; i < tensor.numel(); ++i) {
         if (keep(i)) values[i] = reader.f32();

@@ -554,12 +554,6 @@ std::unique_ptr<Transport> make_transport(const std::string& name,
   return nullptr;
 }
 
-std::unique_ptr<Transport> make_transport(const std::string& name, std::size_t workers) {
-  TransportOptions options;
-  options.workers = workers;
-  return make_transport(name, options);
-}
-
 bool has_transport(const std::string& name) {
   return name == "loopback" || name == "subprocess" || name == "tcp";
 }

@@ -134,13 +134,10 @@ class Transport {
 };
 
 /// Builds a transport by name ("loopback" | "subprocess" | "tcp"). Throws
-/// CheckError on unknown names ("memory" is not a Transport — the channel
-/// short-circuits it without materializing bytes) and on a tcp configuration
-/// with no listen address.
+/// CheckError on unknown names and on a tcp configuration with no listen
+/// address.
 std::unique_ptr<Transport> make_transport(const std::string& name,
                                           const TransportOptions& options);
-/// Back-compat shim: `workers` is TransportOptions::workers.
-std::unique_ptr<Transport> make_transport(const std::string& name, std::size_t workers = 0);
 
 /// True for names make_transport accepts.
 bool has_transport(const std::string& name);

@@ -53,9 +53,9 @@ struct FlContext {
   double corrupt_noise = 1.0;
   double robust_filter = 0.0;
   /// Client↔server channel (comm/channel.h): where uploads/downloads run and
-  /// which codecs they pass through. transport: memory | loopback |
-  /// subprocess | tcp; codec: sparse | delta; quantize: none | fp16 | int8.
-  std::string transport = "memory";
+  /// which codecs they pass through. transport: loopback | subprocess |
+  /// tcp; codec: sparse | delta; quantize: none | fp16 | int8.
+  std::string transport = "loopback";
   std::string codec = "sparse";
   std::string quantize = "none";
   /// Subprocess-transport fan-out per round; tcp worker connections to wait

@@ -1,15 +1,12 @@
 // Federation checkpointing.
 //
 // Paper-scale runs (100 clients × 300-500 rounds) take hours on CPU; a
-// checkpoint captures everything a federation needs to resume. Two formats
-// share the comm/serialize wire format for tensors:
-//
-//   * the generic container (save_checkpoint / load_checkpoint) stores the
-//     algorithm's named state sections from
-//     FederatedAlgorithm::checkpoint_state(), so EVERY built-in algorithm —
-//     not just Sub-FedAvg — can snapshot and resume;
-//   * the legacy Sub-FedAvg format (save_subfedavg_checkpoint /
-//     load_subfedavg_checkpoint) is kept for files written by earlier builds.
+// checkpoint captures everything a federation needs to resume. There is one
+// container, SFCG (save_checkpoint / load_checkpoint): the algorithm's named
+// state sections from FederatedAlgorithm::checkpoint_state(), each in the
+// comm/serialize wire format, so EVERY built-in algorithm can snapshot and
+// resume. Session checkpoints (serve/session.h) and spilled client state
+// (fl/client_state.h) embed the same container.
 //
 // CheckpointObserver wires snapshots into the driver's RoundObserver hooks:
 // attach one and every N-th round (plus the final state) lands on disk
@@ -30,7 +27,6 @@
 #include <vector>
 
 #include "fl/driver.h"
-#include "fl/subfedavg.h"
 
 namespace subfed {
 
@@ -69,6 +65,10 @@ void save_checkpoint(FederatedAlgorithm& algorithm, const std::string& path);
 /// section mismatch, or corrupt input.
 void load_checkpoint(FederatedAlgorithm& algorithm, const std::string& path);
 
+/// A checkpoint file's bytes. Throws CheckError when `path` is not a readable
+/// regular file.
+std::vector<std::uint8_t> read_checkpoint_file(const std::string& path);
+
 /// Snapshots the federation every `every` rounds (and once more at run end)
 /// via save_checkpoint. Attach to run_federation; the observer does not own
 /// the algorithm, which must outlive it.
@@ -91,13 +91,5 @@ class CheckpointObserver final : public RoundObserver {
   std::size_t last_round_ = 0;        ///< last round that actually ran
   std::size_t last_saved_round_ = 0;  ///< last round whose end was snapshotted
 };
-
-/// Legacy Sub-FedAvg-only format. Prefer save_checkpoint for new code.
-void save_subfedavg_checkpoint(SubFedAvg& algorithm, const std::string& path);
-
-/// Restores state saved by save_subfedavg_checkpoint into an algorithm built
-/// with the SAME data/spec/config. Throws CheckError on mismatch or corrupt
-/// input.
-void load_subfedavg_checkpoint(SubFedAvg& algorithm, const std::string& path);
 
 }  // namespace subfed

@@ -59,7 +59,7 @@ const Field kFields[] = {
     SUBFED_STRING_FIELD(backend, "compute device: auto | naive | blocked | sparse"),
     SUBFED_STRING_FIELD(compute, "GEMM compute dtype: auto | fp32"),
     SUBFED_UINT_FIELD(math_threads, "GEMM row-panel cap; 0 = process setting"),
-    SUBFED_STRING_FIELD(transport, "channel transport: memory | loopback | subprocess | tcp"),
+    SUBFED_STRING_FIELD(transport, "channel transport: loopback | subprocess | tcp"),
     SUBFED_STRING_FIELD(codec, "uplink codec: sparse | delta"),
     SUBFED_STRING_FIELD(quantize, "payload precision: none | fp16 | int8"),
     SUBFED_UINT_FIELD(channel_workers, "subprocess fan-out / tcp fleet size; 0 = hardware"),
@@ -261,15 +261,11 @@ std::string ExperimentSpec::help_text() {
 }
 
 void ExperimentSpec::validate() const {
-  SUBFEDAVG_CHECK(has_channel_transport(transport),
-                  "unknown transport '" << transport
-                                        << "' (memory | loopback | subprocess | tcp)");
+  SUBFEDAVG_CHECK(has_transport(transport),
+                  "unknown transport '" << transport << "' (loopback | subprocess | tcp)");
   SUBFEDAVG_CHECK(codec == "sparse" || codec == "delta",
                   "unknown codec '" << codec << "' (sparse | delta)");
   parse_quant_codec(quantize);
-  SUBFEDAVG_CHECK(transport != "memory" || (codec == "sparse" && quantize == "none"),
-                  "codec=" << codec << " quantize=" << quantize
-                           << " require transport=loopback, subprocess, or tcp");
   SUBFEDAVG_CHECK(aggregation == "sync" || aggregation == "buffered",
                   "unknown aggregation '" << aggregation << "' (sync | buffered)");
   SUBFEDAVG_CHECK(link_spread >= 1.0, "link_spread " << link_spread << " must be >= 1");
@@ -390,9 +386,9 @@ FlContext ExperimentSpec::make_context(const FederatedData& data) const {
   ctx.corrupt_fraction = corrupt_fraction;
   ctx.corrupt_noise = corrupt_noise;
   ctx.robust_filter = robust_filter;
-  // Channel misconfigurations (unknown transport, lossy codec over the
-  // memory fast path, tcp without a listen address) are caught here, before
-  // training — and by execute_experiment even before data synthesis.
+  // Channel misconfigurations (unknown transport or codec, tcp without a
+  // listen address) are caught here, before training — and by
+  // execute_experiment even before data synthesis.
   validate();
   ctx.transport = transport;
   ctx.codec = codec;

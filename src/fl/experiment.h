@@ -50,7 +50,7 @@ struct ExperimentSpec {
   std::string compute = "auto";      ///< auto | fp32 (fp16 is rejected)
   std::size_t math_threads = 0;      ///< GEMM row-panel cap; 0 → process setting
   // Communication (comm/channel.h, comm/transport.h, comm/round_time.h).
-  std::string transport = "memory";  ///< memory | loopback | subprocess | tcp
+  std::string transport = "loopback";  ///< loopback | subprocess | tcp
   std::string codec = "sparse";      ///< sparse | delta (uplink vs broadcast)
   std::string quantize = "none";     ///< none | fp16 | int8 kept-value precision
   std::size_t channel_workers = 0;   ///< subprocess fan-out / tcp fleet size

@@ -164,7 +164,7 @@ void SubFedAvg::run_round(std::size_t round, std::span<const std::size_t> sample
   for (std::size_t i = 0; i < sampled.size(); ++i) {
     cohort[i] = acquire(sampled[i]);
     pre_masks[i] = cohort[i]->combined_mask();
-    jobs[i] = {sampled[i], &global_, &pre_masks[i], 1, {}};
+    jobs[i] = {sampled[i], &global_, &pre_masks[i], {}};
   }
 
   std::vector<Exchange> exchanges = exchange_round(round, jobs);

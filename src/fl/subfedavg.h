@@ -45,8 +45,7 @@ class SubFedAvg final : public FederatedAlgorithm {
   double client_test_accuracy(std::size_t k) override;
 
   /// Checkpoint layout: the global state, then per client {personal model,
-  /// weight mask, channel mask} — the same coverage as the legacy
-  /// save_subfedavg_checkpoint format, expressed as generic sections.
+  /// weight mask, channel mask}.
   std::vector<StateDict> checkpoint_state() override;
   void restore_checkpoint_state(std::vector<StateDict> sections) override;
 

@@ -9,6 +9,7 @@
 #include "comm/serialize.h"
 #include "telemetry/telemetry.h"
 #include "telemetry/trace.h"
+#include "util/bytes.h"
 #include "util/check.h"
 #include "util/logging.h"
 
@@ -38,20 +39,12 @@ void append_json_string(std::ostringstream& os, const std::string& value) {
   os << '"';
 }
 
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
 /// kGetModel reply: u32 section count, then u32-length-prefixed
 /// encode_update blobs (the checkpoint container's section wire format).
 std::vector<std::uint8_t> encode_sections(const std::vector<StateDict>& sections) {
   std::vector<std::uint8_t> out;
   put_u32(out, static_cast<std::uint32_t>(sections.size()));
-  for (const StateDict& section : sections) {
-    const std::vector<std::uint8_t> blob = encode_update(section, nullptr);
-    put_u32(out, static_cast<std::uint32_t>(blob.size()));
-    out.insert(out.end(), blob.begin(), blob.end());
-  }
+  for (const StateDict& section : sections) put_blob(out, encode_update(section, nullptr));
   return out;
 }
 

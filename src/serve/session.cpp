@@ -1,6 +1,5 @@
 #include "serve/session.h"
 
-#include <bit>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
@@ -11,6 +10,7 @@
 #include "fl/fedavg.h"
 #include "fl/subfedavg.h"
 #include "telemetry/trace.h"
+#include "util/bytes.h"
 #include "util/check.h"
 #include "util/logging.h"
 #include "util/parse.h"
@@ -21,77 +21,6 @@ namespace {
 
 constexpr std::uint32_t kSessionMagic = 0x5346534E;  // "SFSN"
 constexpr std::uint32_t kSessionVersion = 1;
-
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-void put_f64(std::vector<std::uint8_t>& out, double v) {
-  put_u64(out, std::bit_cast<std::uint64_t>(v));
-}
-
-void put_blob(std::vector<std::uint8_t>& out, std::span<const std::uint8_t> blob) {
-  put_u32(out, static_cast<std::uint32_t>(blob.size()));
-  out.insert(out.end(), blob.begin(), blob.end());
-}
-
-class Reader {
- public:
-  explicit Reader(std::span<const std::uint8_t> bytes) : bytes_(bytes) {}
-
-  std::uint32_t u32() {
-    SUBFEDAVG_CHECK(pos_ + 4 <= bytes_.size(), "truncated session checkpoint");
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) v |= static_cast<std::uint32_t>(bytes_[pos_ + i]) << (8 * i);
-    pos_ += 4;
-    return v;
-  }
-
-  std::uint64_t u64() {
-    SUBFEDAVG_CHECK(pos_ + 8 <= bytes_.size(), "truncated session checkpoint");
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(bytes_[pos_ + i]) << (8 * i);
-    pos_ += 8;
-    return v;
-  }
-
-  double f64() { return std::bit_cast<double>(u64()); }
-
-  std::span<const std::uint8_t> blob() {
-    const std::uint32_t n = u32();
-    SUBFEDAVG_CHECK(pos_ + n <= bytes_.size(), "truncated session checkpoint blob");
-    std::span<const std::uint8_t> out = bytes_.subspan(pos_, n);
-    pos_ += n;
-    return out;
-  }
-
-  bool done() const noexcept { return pos_ == bytes_.size(); }
-
- private:
-  std::span<const std::uint8_t> bytes_;
-  std::size_t pos_ = 0;
-};
-
-std::vector<std::uint8_t> read_file(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  SUBFEDAVG_CHECK(f != nullptr, "cannot open session checkpoint: " << path);
-  std::fseek(f, 0, SEEK_END);
-  const long size = std::ftell(f);
-  std::fseek(f, 0, SEEK_SET);
-  if (size < 0) {
-    std::fclose(f);
-    SUBFEDAVG_CHECK(false, "cannot size session checkpoint: " << path);
-  }
-  std::vector<std::uint8_t> bytes(static_cast<std::size_t>(size));
-  const std::size_t read = std::fread(bytes.data(), 1, bytes.size(), f);
-  std::fclose(f);
-  SUBFEDAVG_CHECK(read == bytes.size(), "short session checkpoint read: " << path);
-  return bytes;
-}
 
 }  // namespace
 
@@ -140,11 +69,10 @@ std::unique_ptr<FederationSession> FederationSession::from_spec(
 
 ExperimentSpec FederationSession::mirror_spec(const std::string& kv) {
   ExperimentSpec spec = ExperimentSpec::from_kv(kv);
-  // The mirror's channel must materialize payloads exactly like the
-  // coordinator's tcp channel does — that's loopback, NOT memory (protocols
-  // like MTL put extra sections on a materialized wire) — and it must not
-  // open sockets, write the coordinator's files, or stand up its own
-  // resident service.
+  // The mirror's channel runs in process (loopback), encoding through the
+  // same codec stack as the coordinator's tcp channel, and it must not open
+  // sockets, write the coordinator's files, or stand up its own resident
+  // service.
   spec.transport = "loopback";
   spec.listen.clear();
   spec.connect.clear();
@@ -467,8 +395,8 @@ void FederationSession::restore(const std::string& path) {
   SUBFEDAVG_CHECK(!event_driven_,
                   "event-driven sessions (arrivals > 0 or arrival_trace) do not "
                   "checkpoint yet");
-  const std::vector<std::uint8_t> bytes = read_file(path);
-  Reader reader(bytes);
+  const std::vector<std::uint8_t> bytes = read_checkpoint_file(path);
+  ByteReader reader(bytes, "session checkpoint");
   SUBFEDAVG_CHECK(reader.u32() == kSessionMagic, "bad session checkpoint magic");
   SUBFEDAVG_CHECK(reader.u32() == kSessionVersion, "unsupported session checkpoint version");
   const std::span<const std::uint8_t> kv = reader.blob();
@@ -486,6 +414,11 @@ void FederationSession::restore(const std::string& path) {
   base_up_bytes_ = reader.u64();
   base_down_bytes_ = reader.u64();
   const std::uint32_t points = reader.u32();
+  // Each point is a u64 round plus an f64 accuracy: bound the reserve by the
+  // bytes actually present, not by the declared count.
+  SUBFEDAVG_CHECK(points <= reader.remaining() / 16,
+                  "session checkpoint declares " << points << " curve points but only "
+                                                 << reader.remaining() << " bytes remain");
   result_.curve.reserve(points);
   for (std::uint32_t i = 0; i < points; ++i) {
     RoundPoint point;

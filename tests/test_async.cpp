@@ -72,7 +72,7 @@ TEST(BufferedAggregation, FullBufferMatchesSyncBitIdenticallyOnMemory) {
 TEST(BufferedAggregation, RunsOnEveryTransportForEveryRegistryAlgorithm) {
   for (const std::string& algo : list_algorithms()) {
     if (algo.rfind("test_", 0) == 0) continue;  // test doubles
-    for (const char* transport : {"memory", "loopback", "subprocess"}) {
+    for (const char* transport : {"loopback", "subprocess"}) {
       ExperimentSpec spec = small_spec(algo);
       spec.rounds = 2;
       spec.transport = transport;
@@ -81,11 +81,8 @@ TEST(BufferedAggregation, RunsOnEveryTransportForEveryRegistryAlgorithm) {
       spec.buffer_k = 2;
       spec.link_spread = 4.0;
       const ExecutedRun run = execute_experiment(spec);
-      if (std::string(transport) != "memory") {
-        // Materializing transports charge real bytes for every algorithm;
-        // the memory fast path charges standalone's empty pings as zero.
-        EXPECT_GT(run.result.up_bytes, 0u) << algo << "/" << transport;
-      }
+      // Every transport charges real bytes, standalone's empty pings included.
+      EXPECT_GT(run.result.up_bytes, 0u) << algo << "/" << transport;
       EXPECT_GE(run.metrics.at("stale_updates") + run.metrics.at("parked_updates") +
                     run.metrics.at("evicted_updates"),
                 1.0)

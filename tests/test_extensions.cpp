@@ -188,10 +188,10 @@ TEST_F(CheckpointTest, SaveLoadRoundTripsExactly) {
   SubFedAvg original(ctx(), config());
   DriverConfig driver{/*rounds=*/3, /*sample_rate=*/0.75, 0, 77};
   run_federation(original, driver);
-  save_subfedavg_checkpoint(original, path);
+  save_checkpoint(original, path);
 
   SubFedAvg restored(ctx(), config());
-  load_subfedavg_checkpoint(restored, path);
+  load_checkpoint(restored, path);
 
   // Server and every client identical.
   for (std::size_t e = 0; e < original.global_state().size(); ++e) {
@@ -225,10 +225,10 @@ TEST_F(CheckpointTest, ResumedRunContinuesLikeUninterrupted) {
   for (std::size_t r = 0; r < 2; ++r) {
     part1.run_round(r, sampler_b.sample_without_replacement(4, 3));
   }
-  save_subfedavg_checkpoint(part1, path);
+  save_checkpoint(part1, path);
 
   SubFedAvg part2(ctx(), config());
-  load_subfedavg_checkpoint(part2, path);
+  load_checkpoint(part2, path);
   for (std::size_t r = 2; r < 4; ++r) {
     part2.run_round(r, sampler_b.sample_without_replacement(4, 3));
   }
@@ -243,7 +243,7 @@ TEST_F(CheckpointTest, ResumedRunContinuesLikeUninterrupted) {
 TEST_F(CheckpointTest, RejectsWrongFederationSize) {
   const std::string path = ::testing::TempDir() + "/subfed_badsize.bin";
   SubFedAvg original(ctx(), config());
-  save_subfedavg_checkpoint(original, path);
+  save_checkpoint(original, path);
 
   static FederatedData other(DatasetSpec::mnist(), [] {
     FederatedDataConfig config;
@@ -254,19 +254,19 @@ TEST_F(CheckpointTest, RejectsWrongFederationSize) {
   FlContext other_ctx = ctx();
   other_ctx.data = &other;
   SubFedAvg mismatched(other_ctx, config());
-  EXPECT_THROW(load_subfedavg_checkpoint(mismatched, path), CheckError);
+  EXPECT_THROW(load_checkpoint(mismatched, path), CheckError);
   std::remove(path.c_str());
 }
 
 TEST_F(CheckpointTest, RejectsMissingAndCorruptFiles) {
   SubFedAvg alg(ctx(), config());
-  EXPECT_THROW(load_subfedavg_checkpoint(alg, "/nonexistent/ckpt.bin"), CheckError);
+  EXPECT_THROW(load_checkpoint(alg, "/nonexistent/ckpt.bin"), CheckError);
 
   const std::string path = ::testing::TempDir() + "/subfed_corrupt.bin";
   std::FILE* f = std::fopen(path.c_str(), "wb");
   std::fputs("garbage", f);
   std::fclose(f);
-  EXPECT_THROW(load_subfedavg_checkpoint(alg, path), CheckError);
+  EXPECT_THROW(load_checkpoint(alg, path), CheckError);
   std::remove(path.c_str());
 }
 

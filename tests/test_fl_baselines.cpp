@@ -2,6 +2,7 @@
 // Small federations, few rounds — behavioural contracts, not benchmarks.
 #include <gtest/gtest.h>
 
+#include "comm/serialize.h"
 #include "fl/driver.h"
 #include "fl/fedavg.h"
 #include "fl/fedmtl.h"
@@ -39,7 +40,10 @@ TEST(Standalone, NoCommunication) {
   Standalone alg(small_ctx());
   const auto sampled = all_clients();
   alg.run_round(0, sampled);
-  EXPECT_EQ(alg.ledger().total(), 0u);
+  // Each client exchanges one empty ping each way: a bare header, no values.
+  const StateDict empty;
+  EXPECT_EQ(payload_bytes(empty, nullptr), 0u);
+  EXPECT_EQ(alg.ledger().total(), 2 * encoded_header_bytes(empty) * sampled.size());
 }
 
 TEST(Standalone, ImprovesOwnClientsOnly) {
@@ -70,10 +74,11 @@ TEST(FedAvg, ChargesDenseTrafficBothWays) {
   FedAvg alg(small_ctx());
   Model m = small_ctx().spec.build();
   const std::size_t dense = m.state().numel() * 4;
+  const std::size_t wire = dense + encoded_header_bytes(m.state());
   const auto sampled = all_clients();
   alg.run_round(0, sampled);
-  EXPECT_EQ(alg.ledger().round_up(0), dense * sampled.size());
-  EXPECT_EQ(alg.ledger().round_down(0), dense * sampled.size());
+  EXPECT_EQ(alg.ledger().round_up(0), wire * sampled.size());
+  EXPECT_EQ(alg.ledger().round_down(0), wire * sampled.size());
 }
 
 TEST(FedAvg, LearnsOverRounds) {
@@ -118,13 +123,18 @@ TEST(FedProx, ProximalTermShrinksDriftFromGlobal) {
 TEST(LgFedAvg, OnlyHeadIsCommunicated) {
   LgFedAvg alg(small_ctx());
   Model m = small_ctx().spec.build();
-  std::size_t head_bytes = 0;
+  StateDict head;
   for (const auto& [name, tensor] : m.state()) {
-    if (LgFedAvg::is_global_entry(name)) head_bytes += tensor.numel() * 4;
+    if (LgFedAvg::is_global_entry(name)) head.add(name, tensor);
   }
+  const std::size_t head_bytes = head.numel() * 4;
   const auto sampled = all_clients();
   alg.run_round(0, sampled);
-  EXPECT_EQ(alg.ledger().round_up(0), head_bytes * sampled.size());
+  // The ledger charges the materialized upload: the dense head's values plus
+  // its self-describing headers.
+  EXPECT_EQ(payload_bytes(head, nullptr), head_bytes);
+  EXPECT_EQ(alg.ledger().round_up(0),
+            (head_bytes + encoded_header_bytes(head)) * sampled.size());
   EXPECT_LT(head_bytes, m.state().numel() * 4);  // strictly smaller than dense
 }
 
@@ -152,10 +162,15 @@ TEST(FedMtl, ChargesDoubleDenseTraffic) {
   FedMtl alg(small_ctx(), /*lambda=*/0.1);
   Model m = small_ctx().spec.build();
   const std::size_t dense = m.state().numel() * 4;
+  // The wire payload is the model plus a same-sized "dual."-prefixed copy.
+  StateDict doubled;
+  for (const auto& [name, tensor] : m.state()) doubled.add(name, tensor);
+  for (const auto& [name, tensor] : m.state()) doubled.add("dual." + name, tensor);
+  const std::size_t wire = 2 * dense + encoded_header_bytes(doubled);
   const auto sampled = all_clients();
   alg.run_round(0, sampled);
-  EXPECT_EQ(alg.ledger().round_up(0), 2 * dense * sampled.size());
-  EXPECT_EQ(alg.ledger().round_down(0), 2 * dense * sampled.size());
+  EXPECT_EQ(alg.ledger().round_up(0), wire * sampled.size());
+  EXPECT_EQ(alg.ledger().round_down(0), wire * sampled.size());
 }
 
 TEST(FedMtl, PersonalModelsDiverge) {
@@ -187,13 +202,13 @@ TEST(Driver, CurveAndCheckpoints) {
 TEST(Driver, SampleRateControlsCohortSize) {
   FedAvg alg(small_ctx());
   Model m = small_ctx().spec.build();
-  const std::size_t dense = m.state().numel() * 4;
+  const std::size_t wire = m.state().numel() * 4 + encoded_header_bytes(m.state());
   DriverConfig config;
   config.rounds = 1;
   config.sample_rate = 0.5;  // 3 of 6 clients
   config.seed = 31;
   run_federation(alg, config);
-  EXPECT_EQ(alg.ledger().round_up(0), dense * 3);
+  EXPECT_EQ(alg.ledger().round_up(0), wire * 3);
 }
 
 TEST(Driver, RoundsToReach) {

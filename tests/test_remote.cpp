@@ -135,20 +135,24 @@ TEST(RemoteFederation, TcpMatchesLoopbackBitIdenticallyForEveryAlgorithm) {
 // Failure handling
 
 TEST(RemoteFederation, BufferedRunEvictsKilledWorkerAndCompletes) {
-  ExperimentSpec spec = small_spec("fedavg");
-  spec.aggregation = "buffered";
-  spec.buffer_k = 2;
-  spec.rounds = 3;
-  // Worker 0 dies mid-round after serving one exchange: it accepts a second
-  // request and drops the connection without replying.
-  const TcpRun tcp = run_over_tcp(spec, /*workers=*/2, /*max_exchanges=*/{1});
-  ASSERT_TRUE(tcp.error.empty()) << tcp.error;
-  EXPECT_EQ(tcp.stats[0].exchanges, 1u);
-  EXPECT_TRUE(tcp.worker_errors[0].empty()) << tcp.worker_errors[0];
-  EXPECT_TRUE(tcp.worker_errors[1].empty()) << tcp.worker_errors[1];
-  EXPECT_GE(tcp.evicted, 1u);            // the dead exchange became a straggler
-  EXPECT_EQ(tcp.result.curve.size(), 3u);  // ...and every round still closed
-  EXPECT_EQ(tcp.result.skipped_rounds, 0u);
+  // buffer_k = 0 waits for every sampled client, so the dead exchange leaves
+  // the buffer with fewer arrivals than the round sampled.
+  for (const std::size_t buffer_k : {2, 0}) {
+    ExperimentSpec spec = small_spec("fedavg");
+    spec.aggregation = "buffered";
+    spec.buffer_k = buffer_k;
+    spec.rounds = 3;
+    // Worker 0 dies mid-round after serving one exchange: it accepts a second
+    // request and drops the connection without replying.
+    const TcpRun tcp = run_over_tcp(spec, /*workers=*/2, /*max_exchanges=*/{1});
+    ASSERT_TRUE(tcp.error.empty()) << buffer_k << ": " << tcp.error;
+    EXPECT_EQ(tcp.stats[0].exchanges, 1u) << buffer_k;
+    EXPECT_TRUE(tcp.worker_errors[0].empty()) << tcp.worker_errors[0];
+    EXPECT_TRUE(tcp.worker_errors[1].empty()) << tcp.worker_errors[1];
+    EXPECT_GE(tcp.evicted, 1u) << buffer_k;  // the dead exchange became a straggler
+    EXPECT_EQ(tcp.result.curve.size(), 3u) << buffer_k;  // ...and every round closed
+    EXPECT_EQ(tcp.result.skipped_rounds, 0u) << buffer_k;
+  }
 }
 
 TEST(RemoteFederation, SyncRoundFailsFastWhenTheOnlyWorkerDies) {

@@ -1,8 +1,12 @@
 // FedAvg+FT baseline, corrupted-update handling, and bounded decoding of
-// updates, quantized payloads and envelopes.
+// updates, quantized payloads, envelopes and checkpoint containers.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
+#include <fstream>
+#include <iterator>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -11,10 +15,12 @@
 #include "comm/serialize.h"
 #include "core/aggregate.h"
 #include "fl/driver.h"
+#include "fl/checkpoint.h"
 #include "fl/experiment.h"
 #include "fl/fedavg.h"
 #include "fl/fedavg_ft.h"
 #include "fl/robust.h"
+#include "serve/session.h"
 #include "util/check.h"
 #include "util/logging.h"
 
@@ -469,6 +475,77 @@ TEST(BoundedDecode, ValidQuantizedPayloadsStillRoundTrip) {
       }
     }
   }
+}
+
+// The checkpoint containers bound their declared counts the same way: an
+// SFCG container's section count and an SFSN session file's curve-point count
+// are checked against the bytes actually present before anything is
+// reserved from them.
+
+TEST(BoundedDecode, CheckpointHugeSectionCountIsACheckError) {
+  std::vector<std::uint8_t> bytes = encode_state_sections("fedavg", {});
+  // The section count is the container's last field; declare 2^32 - 1.
+  ASSERT_GE(bytes.size(), 4u);
+  for (std::size_t i = bytes.size() - 4; i < bytes.size(); ++i) bytes[i] = 0xFF;
+  EXPECT_THROW(decode_state_sections(bytes, "fedavg"), CheckError);
+  // A plausible count with too few bytes behind it fails the same way.
+  bytes.resize(bytes.size() - 4);
+  put_u32(bytes, 3);
+  put_u32(bytes, 0);
+  EXPECT_THROW(decode_state_sections(bytes, "fedavg"), CheckError);
+
+  // Valid containers still round-trip.
+  Rng rng(9);
+  const StateDict state = ModelSpec::cnn5(10).build_init(rng).state();
+  const std::vector<StateDict> back =
+      decode_state_sections(encode_state_sections("fedavg", {state, state}), "fedavg");
+  ASSERT_EQ(back.size(), 2u);
+  for (std::size_t e = 0; e < state.size(); ++e) EXPECT_TRUE(back[1][e] == state[e]);
+}
+
+TEST(BoundedDecode, SessionHugeCurvePointCountIsACheckError) {
+  set_log_level(LogLevel::kWarn);
+  ExperimentSpec spec;
+  spec.dataset = "mnist";
+  spec.clients = 4;
+  spec.shard = 25;
+  spec.test_per_class = 4;
+  spec.rounds = 2;
+  spec.epochs = 1;
+  spec.seed = 23;
+  std::unique_ptr<FederationSession> session = FederationSession::from_spec(spec);
+  session->advance_round();
+  session->evaluate();
+  const std::string path = ::testing::TempDir() + "/subfed_bounded_session.bin";
+  session->save(path);
+
+  std::vector<std::uint8_t> bytes;
+  {
+    std::ifstream in(path, std::ios::binary);
+    bytes.assign(std::istreambuf_iterator<char>(in), {});
+  }
+  // SFSN layout: magic, version, the u32-prefixed spec kv, six 8-byte
+  // counters, then the u32 curve-point count.
+  ASSERT_GE(bytes.size(), 12u);
+  std::uint32_t kv_size = 0;
+  for (int i = 0; i < 4; ++i) kv_size |= static_cast<std::uint32_t>(bytes[8 + i]) << (8 * i);
+  const std::size_t points_at = 12 + kv_size + 6 * 8;
+  ASSERT_LE(points_at + 4, bytes.size());
+  ASSERT_EQ(bytes[points_at], 1u);  // one evaluated round
+
+  const auto restore_from = [&](const std::vector<std::uint8_t>& file) {
+    std::ofstream(path, std::ios::binary | std::ios::trunc)
+        .write(reinterpret_cast<const char*>(file.data()),
+               static_cast<std::streamsize>(file.size()));
+    FederationSession::from_spec(spec)->restore(path);
+  };
+  std::vector<std::uint8_t> huge = bytes;
+  for (std::size_t i = points_at; i < points_at + 4; ++i) huge[i] = 0xFF;
+  EXPECT_THROW(restore_from(huge), CheckError);
+
+  // The valid file still restores.
+  EXPECT_NO_THROW(restore_from(bytes));
+  std::remove(path.c_str());
 }
 
 }  // namespace
